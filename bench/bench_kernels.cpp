@@ -30,12 +30,13 @@ namespace {
 
 using namespace sops;
 
-core::SeparationChain make_chain(std::size_t n, std::uint64_t seed) {
+core::SeparationChain make_chain(std::size_t n, std::uint64_t seed,
+                                 double gamma = 4.0) {
   util::Rng rng(seed);
   const auto nodes = lattice::random_blob(n, rng);
   const auto colors = core::balanced_random_colors(n, 2, rng);
   return core::SeparationChain(system::ParticleSystem(nodes, colors),
-                               core::Params{4.0, 4.0, true}, seed);
+                               core::Params{4.0, gamma, true}, seed);
 }
 
 // Old-vs-new step kernels. Both twins burn in 50k steps first so the
@@ -81,12 +82,14 @@ BENCHMARK(BM_ChainStep_Reference)->Arg(50)->Arg(100)->Arg(400)->Arg(1600);
 // = chain steps. Arg pair = (n, pipeline block size); each timing
 // iteration advances the trajectory by one fixed 4096-step chunk so the
 // per-iteration work is identical across block sizes and the comparison
-// against BM_ChainStep is steps-for-steps.
+// against BM_ChainStep is steps-for-steps. The reindexes counter is
+// StepPipeline::Stats::reindexes: one occupancy-index rebuild per chunk
+// that accepted anything.
 constexpr std::uint64_t kPipelineChunk = 4096;
 
-void BM_RunPipeline(benchmark::State& state) {
+void run_pipeline(benchmark::State& state, double gamma) {
   core::SeparationChain chain =
-      make_chain(static_cast<std::size_t>(state.range(0)), 42);
+      make_chain(static_cast<std::size_t>(state.range(0)), 42, gamma);
   chain.run(kStepBurnIn);
   core::StepPipeline pipeline(chain,
                               static_cast<std::size_t>(state.range(1)));
@@ -100,7 +103,11 @@ void BM_RunPipeline(benchmark::State& state) {
   state.counters["probes_per_step"] = benchmark::Counter(
       static_cast<double>(chain.system().occupancy_lookups() - probes_before) /
       static_cast<double>(steps));
+  state.counters["reindexes"] =
+      benchmark::Counter(static_cast<double>(pipeline.stats().reindexes));
 }
+
+void BM_RunPipeline(benchmark::State& state) { run_pipeline(state, 4.0); }
 BENCHMARK(BM_RunPipeline)
     ->ArgPair(400, 64)
     ->ArgPair(400, 256)
@@ -108,6 +115,13 @@ BENCHMARK(BM_RunPipeline)
     ->ArgPair(1600, 64)
     ->ArgPair(1600, 256)
     ->ArgPair(1600, 1024);
+
+// The accept-heavy corner (λ = 4, γ = 1): nearly every swap proposal
+// is accepted, so the accept-apply path dominates.
+void BM_RunPipeline_Gamma1(benchmark::State& state) {
+  run_pipeline(state, 1.0);
+}
+BENCHMARK(BM_RunPipeline_Gamma1)->ArgPair(400, 256)->ArgPair(2000, 256);
 
 // The across-replica band engine (src/core/replica_band.hpp) against
 // the single-chain pipeline above. Arg pair = (n, band width); each
@@ -121,16 +135,16 @@ BENCHMARK(BM_RunPipeline)
 // simd_fraction is the share of steps actually executed on the SIMD
 // path (ragged groups, declined arenas, and scalar fall-backs drag it
 // below 1), the coverage number the snapshot script's --counters gate
-// checks. arena_rebuilds and tail_words surface ReplicaBand::Stats so
-// a drift-rebuild storm or Lemire-spill anomaly shows up in the
-// snapshot rather than as an unexplained slowdown.
-void BM_ReplicaBand(benchmark::State& state) {
+// checks. arena_rebuilds, reindexes and tail_words surface
+// ReplicaBand::Stats so a drift-rebuild storm or Lemire-spill anomaly
+// shows up in the snapshot rather than as an unexplained slowdown.
+void replica_band(benchmark::State& state, double gamma) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto width = static_cast<std::size_t>(state.range(1));
   std::vector<core::SeparationChain> chains;
   chains.reserve(width);
   for (std::size_t r = 0; r < width; ++r) {
-    chains.push_back(make_chain(n, 42 + 1000 * r));
+    chains.push_back(make_chain(n, 42 + 1000 * r, gamma));
     chains.back().run(kStepBurnIn);
   }
   std::vector<core::SeparationChain*> ptrs;
@@ -160,6 +174,8 @@ void BM_ReplicaBand(benchmark::State& state) {
       executed > 0.0 ? static_cast<double>(st.simd_steps) / executed : 0.0);
   state.counters["arena_rebuilds"] =
       benchmark::Counter(static_cast<double>(st.arena_rebuilds));
+  state.counters["reindexes"] =
+      benchmark::Counter(static_cast<double>(st.reindexes));
   state.counters["tail_words"] =
       benchmark::Counter(static_cast<double>(st.tail_words));
   state.counters["accept_rate"] = benchmark::Counter(
@@ -167,12 +183,20 @@ void BM_ReplicaBand(benchmark::State& state) {
                       static_cast<double>(steps)
                 : 0.0);
 }
+
+void BM_ReplicaBand(benchmark::State& state) { replica_band(state, 4.0); }
 BENCHMARK(BM_ReplicaBand)
     ->ArgPair(400, 1)
     ->ArgPair(400, 8)
     ->ArgPair(400, 16)
     ->ArgPair(1600, 8)
     ->ArgPair(1600, 16);
+
+// The accept-heavy corner, as for BM_RunPipeline_Gamma1.
+void BM_ReplicaBand_Gamma1(benchmark::State& state) {
+  replica_band(state, 1.0);
+}
+BENCHMARK(BM_ReplicaBand_Gamma1)->ArgPair(400, 8)->ArgPair(2000, 8);
 
 template <bool kReference>
 void property_check_impl(benchmark::State& state) {

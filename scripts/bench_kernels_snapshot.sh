@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Records one point of the kernel-performance trajectory: runs the
 # old-vs-new step/locality/count microbenches of bench_kernels with
-# --benchmark_format=json and distills machine note + items/sec (+ the
-# probes_per_step counter) into a stable, diff-friendly JSON file.
+# --benchmark_format=json and distills the host fingerprint + items/sec
+# (+ the probes_per_step counter) into a stable, diff-friendly JSON file.
 #
 # Usage: scripts/bench_kernels_snapshot.sh [build-dir] [out-file]
 #   build-dir  CMake build tree holding bench/bench_kernels (default: build)
@@ -49,7 +49,7 @@ out=${2:-BENCH_kernels.json}
 bin=$build_dir/bench/bench_kernels
 [[ -x $bin ]] || { echo "error: $bin not built" >&2; exit 1; }
 
-filter='BM_ChainStep(_Reference)?/(400|1600)|BM_RunPipeline/(400|1600)/(64|256|1024)|BM_ReplicaBand/(400|1600)/(1|8|16)|BM_PropertyCheck(_Reference)?$|BM_NeighborhoodGather$|BM_NeighborCount$'
+filter='BM_ChainStep(_Reference)?/(400|1600)|BM_RunPipeline/(400|1600)/(64|256|1024)|BM_RunPipeline_Gamma1/(400|2000)/256|BM_ReplicaBand/(400|1600)/(1|8|16)|BM_ReplicaBand_Gamma1/(400|2000)/8|BM_PropertyCheck(_Reference)?$|BM_NeighborhoodGather$|BM_NeighborCount$'
 raw=$(mktemp "${TMPDIR:-/tmp}/bench_kernels.XXXXXX.json")
 trap 'rm -f "$raw"' EXIT
 
@@ -66,11 +66,19 @@ trap 'rm -f "$raw"' EXIT
 build_type=$(grep -m1 '^CMAKE_BUILD_TYPE' "$build_dir/CMakeCache.txt" 2>/dev/null \
   | cut -d= -f2)
 
+# Host fingerprint (CPU model, widest SIMD tier, core count). distill
+# stamps it on the document and on every row it writes; --compare
+# compares a baseline row carrying one only on that same host.
+isa=scalar
+grep -qm1 avx2 /proc/cpuinfo 2>/dev/null && isa=avx2
+grep -qm1 avx512f /proc/cpuinfo 2>/dev/null && isa=avx512f
+host="$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null \
+  | head -1), $isa, $(nproc) cores"
+
 distill() {
   # $1 = raw google-benchmark JSON; emits the snapshot document. Only
   # the per-benchmark median aggregate is kept, under the plain name.
-  jq --arg machine "$(uname -srm), $(nproc) cores" \
-     --arg build_type "${build_type:-unknown}" '{
+  jq --arg machine "$host" --arg build_type "${build_type:-unknown}" '{
     machine: $machine,
     build_type: $build_type,
     benchmarks: [.benchmarks[]
@@ -79,7 +87,8 @@ distill() {
         name: (.name | sub("_median$"; "")),
         items_per_second: (.items_per_second // null),
         ns_per_op: .cpu_time,
-        probes_per_step: (.probes_per_step // null)
+        probes_per_step: (.probes_per_step // null),
+        machine: $machine
       }]
   }' "$1"
 }
@@ -90,9 +99,14 @@ if (( compare )); then
   current=$(mktemp "${TMPDIR:-/tmp}/bench_kernels_cur.XXXXXX.json")
   trap 'rm -f "$raw" "$current"' EXIT
   distill "$raw" > "$current"
+  # A baseline row carrying its own `machine` fingerprint is compared
+  # only on that host; elsewhere it is reported as having no baseline
+  # here. Rows without one (snapshots older than the per-row stamp)
+  # are always compared.
   warnings=$(jq -n --slurpfile base "$baseline" --slurpfile cur "$current" \
-    --argjson tol "$tolerance" '
+    --argjson tol "$tolerance" --arg host "$host" '
     [$base[0].benchmarks[] as $b
+     | select(($b.machine // $host) == $host)
      | ($cur[0].benchmarks[] | select(.name == $b.name)) as $c
      | select($b.items_per_second != null and $c.items_per_second != null)
      | select($c.items_per_second < (1 - $tol / 100) * $b.items_per_second)
@@ -101,11 +115,13 @@ if (( compare )); then
   # Benchmarks in the new run with no baseline row are additions, not
   # regressions: report them informationally so the operator refreshes
   # the snapshot, but never let them trip SOPS_BENCH_STRICT.
-  additions=$(jq -n --slurpfile base "$baseline" --slurpfile cur "$current" '
-    ([$base[0].benchmarks[].name]) as $known
+  additions=$(jq -n --slurpfile base "$baseline" --slurpfile cur "$current" \
+    --arg host "$host" '
+    ([$base[0].benchmarks[] | select((.machine // $host) == $host) | .name])
+      as $known
     | [$cur[0].benchmarks[]
        | select(.name as $n | $known | index($n) | not)
-       | "NEW: \(.name): \(if .items_per_second then (.items_per_second | floor | tostring) + " items/s" else "\(.ns_per_op | floor) ns/op" end) — no baseline row; refresh with scripts/bench_kernels_snapshot.sh"]
+       | "NEW: \(.name): \(if .items_per_second then (.items_per_second | floor | tostring) + " items/s" else "\(.ns_per_op | floor) ns/op" end) — no baseline row for this host; refresh with scripts/bench_kernels_snapshot.sh"]
     | .[]' -r)
   # Coverage gate: the perf rows only mean what they claim if the band
   # actually ran its SIMD path. The fraction comes from the fresh raw

@@ -26,6 +26,13 @@
 #                     (the core tier carries the step-pipeline and
 #                     neighborhood equivalence tests; the checkpoint
 #                     tier races snapshot writers across the pool)
+#   SOPS_CI_ASAN      also configure a -DSOPS_SANITIZE=address,undefined
+#                     tree with assertions on in <build-dir>-asan and run
+#                     ctest -L 'core|checkpoint|shard|service|model', the
+#                     particle-system suite, and the band and pipeline
+#                     suites under SOPS_FORCE_SCALAR=1 there (the SIMD
+#                     gathers compute addresses by hand; the asserts
+#                     include ParticleSystem's stale-index guard)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -93,6 +100,25 @@ if [[ -n ${SOPS_CI_TSAN:-} && ${SOPS_CI_TSAN:-} != 0 ]]; then
   cmake --build "${build_dir}-tsan" -j "$jobs"
   ctest --test-dir "${build_dir}-tsan" --output-on-failure -j "$jobs" \
     -L 'core|engine|shard|checkpoint|harness|service'
+fi
+
+if [[ -n ${SOPS_CI_ASAN:-} && ${SOPS_CI_ASAN:-} != 0 ]]; then
+  echo "== ASan+UBSan tiers (core|checkpoint|shard|service|model under ${build_dir}-asan)"
+  # RelWithDebInfo without its -DNDEBUG: optimized enough for the long
+  # equivalence suites, with every assert() and the libstdc++ container
+  # bounds checks live.
+  cmake -S . -B "${build_dir}-asan" -DSOPS_SANITIZE=address,undefined \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g -D_GLIBCXX_ASSERTIONS"
+  cmake --build "${build_dir}-asan" -j "$jobs"
+  export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+  ctest --test-dir "${build_dir}-asan" --output-on-failure -j "$jobs" \
+    -L 'core|checkpoint|shard|service|model'
+  "${build_dir}-asan"/tests/particle_system_test --gtest_brief=1
+  SOPS_FORCE_SCALAR=1 "${build_dir}-asan"/tests/replica_band_test \
+    --gtest_brief=1
+  SOPS_FORCE_SCALAR=1 "${build_dir}-asan"/tests/step_pipeline_test \
+    --gtest_brief=1
 fi
 
 echo "PASS: CI green"

@@ -514,8 +514,11 @@ void ReplicaBand::run(std::span<const std::uint64_t> quotas) {
       most = std::max(most, rem[r]);
     }
   }
+  // The arena walks applied their accepts without touching the lanes'
+  // occupancy indexes; one rebuild per lane hands them back current.
   for (std::size_t r = 0; r < width(); ++r) {
     synced_steps_[r] = chains_[r]->counters_.steps;
+    stats_.reindexes += chains_[r]->sys_.reindex();
   }
   arena_synced_ = arena_ok_;
 }
@@ -692,7 +695,12 @@ void ReplicaBand::run_block(const std::size_t* active, std::size_t count) {
       from = compact_ ? execute_lane<kPathCompact>(r, from, active[r])
                       : execute_lane<kPathWide>(r, from, active[r]);
     }
-    if (from < active[r]) execute_lane<kPathFlat>(r, from, active[r]);
+    if (from < active[r]) {
+      // The FlatMap walk reads the lane's index: bring it up to date
+      // with whatever the arena walks applied first.
+      stats_.reindexes += chains_[r]->sys_.reindex();
+      execute_lane<kPathFlat>(r, from, active[r]);
+    }
   }
   flush_counters(active);
 }
@@ -801,9 +809,9 @@ std::size_t ReplicaBand::execute_lane(std::size_t r, std::size_t from,
         continue;
       }
       const Node dst = lattice::neighbor(l, dir);
-      sys.apply_move_unchecked(pi, dst, ep - e, (ep - epi) - (e - ei));
       ++c.moves_accepted;
       if constexpr (kArena) {
+        sys.apply_move_unchecked(pi, dst, ep - e, (ep - epi) - (e - ei));
         cells[lp_cell] = cells[base];
         cells[base] = 0;
         pcell_[soa] = static_cast<std::int32_t>(
@@ -830,6 +838,10 @@ std::size_t ReplicaBand::execute_lane(std::size_t r, std::size_t from,
                                               : static_cast<void*>(
                                                     cells_.data()));
         }
+      } else {
+        // The FlatMap walk reads the index it mutates, so it applies
+        // through the delta-fed checked overload, which keeps it current.
+        sys.apply_move(pi, dst, ep - e, (ep - epi) - (e - ei));
       }
       continue;
     }
@@ -839,9 +851,9 @@ std::size_t ReplicaBand::execute_lane(std::size_t r, std::size_t from,
     const int sx = nb.swap_exponent();
     if (q >= pow_g[sx]) continue;
     const ParticleIndex qj = nb.p_at_lp;
-    sys.apply_swap_unchecked(pi, qj, -sx);
     ++c.swaps_accepted;
     if constexpr (kArena) {
+      sys.apply_swap_unchecked(pi, qj, -sx);
       const std::uint32_t a = cells[base];
       const std::uint32_t b = cells[lp_cell];
       const std::uint32_t mask =
@@ -858,6 +870,8 @@ std::size_t ReplicaBand::execute_lane(std::size_t r, std::size_t from,
         pcell_[sj] = static_cast<std::int32_t>((pcj & ~kIdxMask) |
                                                (pc & kIdxMask));
       }
+    } else {
+      sys.apply_swap(pi, qj, -sx);
     }
   }
   stats_.scalar_steps += stop - from;
@@ -873,11 +887,13 @@ bool ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
   const std::size_t W = width();
 
   // Apply accepted lanes scalar through the same unchecked mutators the
-  // pipeline uses. Arena addresses are re-read from the live packed SoA
-  // (an earlier lane's drift rebuild may have re-centered the planes);
-  // a declined rebuild finishes the tick's remaining applies without
-  // the arena — the decisions are already made — and the caller hands
-  // the rest of the block to the scalar FlatMap sweep.
+  // pipeline's mirrored walk uses: positions and edge counts only, the
+  // lane's occupancy index waits for the next reindex. Arena addresses
+  // are re-read from the live packed SoA (an earlier lane's drift
+  // rebuild may have re-centered the planes); a declined rebuild
+  // finishes the tick's remaining applies without the arena — the
+  // decisions are already made — and the caller hands the rest of the
+  // block to the scalar FlatMap sweep, which reindexes first.
   for (int m = mm_macc; m != 0; m &= m - 1) {
     const int j = std::countr_zero(static_cast<unsigned>(m));
     const std::size_t r = g8 + static_cast<std::size_t>(j);

@@ -34,8 +34,15 @@
 //    lane to step()'s `q >= λ^Δe · γ^Δe_i` (resp. `q >= γ^sx`) test.
 //    Lanes whose step quota ran out mid-block are masked off inside
 //    the tick instead of demoting the group, so ragged quotas stay
-//    vectorized. Accepted lanes (typically a small minority) apply
-//    scalar through the same *_unchecked mutators the pipeline uses.
+//    vectorized. Accepted lanes apply scalar through the same
+//    *_unchecked mutators the pipeline's mirrored walk uses: they write
+//    positions and edge counts but not the system's FlatMap index.
+//
+// Within run() the arena is the only occupancy structure kept current.
+// Each lane's FlatMap index is rebuilt once at run() exit, and before
+// any FlatMap walk takes a lane over (declined arena, layout flip,
+// box-cap refusal); the FlatMap walk itself applies through the
+// delta-fed checked mutators, which keep the index it reads current.
 //
 // Arena cells use the layouts of cell_codec.hpp, selected per rebuild:
 // the compact 16-bit encoding (index+1 in 12 bits, color nibble at
@@ -110,6 +117,7 @@ class ReplicaBand {
     std::uint64_t simd_steps = 0;    ///< steps executed on the SIMD path
     std::uint64_t scalar_steps = 0;  ///< steps executed on scalar paths
     std::uint64_t arena_rebuilds = 0;///< arena (re)builds
+    std::uint64_t reindexes = 0;     ///< lane occupancy-index repairs
   };
 
   /// Binds to `chains` (kept by pointer; all must outlive the band).
@@ -230,9 +238,10 @@ class ReplicaBand {
   SOPS_BAND_AVX2_FN std::size_t execute_pair_simd(std::size_t from,
                                                   const std::size_t* active);
   /// Applies one group's accepted moves/swaps (mask bits of mm_macc /
-  /// mm_sacc) scalar through the *_unchecked mutators, mirroring each
-  /// into the arena. Returns false when a drift rebuild declined the
-  /// arena (caller stops the SIMD walk after this tick).
+  /// mm_sacc) scalar through the *_unchecked mutators (index left
+  /// stale), mirroring each into the arena. Returns false when a drift
+  /// rebuild declined the arena (caller stops the SIMD walk after this
+  /// tick).
   template <bool kCompact>
   bool apply_group(std::size_t g8, int mm_macc, int mm_sacc, const Spill& sp);
 

@@ -45,6 +45,9 @@ void StepPipeline::run(std::uint64_t iterations) {
     run_block(count);
     iterations -= count;
   }
+  // The mirrored walk applied its accepts without touching the
+  // system's occupancy index; one rebuild hands it back current.
+  stats_.reindexes += chain_.sys_.reindex();
 }
 
 void StepPipeline::rebuild_mirror() {
@@ -229,9 +232,14 @@ void StepPipeline::run_block(std::size_t count) {
   // 3. EXECUTE. A mid-block drift rebuild can decline the mirror (box
   // cap); the mirrored walk then stops where it is and the FlatMap walk
   // finishes the block — the decoded proposals are path-independent.
+  // The FlatMap walk reads the system's index, so it first brings that
+  // up to date with the mirrored walk's accepts.
   std::size_t done = 0;
   if (mirror_ok_) done = execute_block<true>(0, count);
-  if (done < count) execute_block<false>(done, count);
+  if (done < count) {
+    stats_.reindexes += chain_.sys_.reindex();
+    execute_block<false>(done, count);
+  }
 }
 
 template <bool kMirror>
@@ -383,12 +391,13 @@ std::size_t StepPipeline::execute_block(std::size_t begin, std::size_t count) {
         continue;
       }
       const Node to = lattice::neighbor(l, dir);
-      // The gather already certified the target adjacent and empty, so
-      // skip apply_move's precondition probes along with the recounts.
-      sys.apply_move_unchecked(pr.pi, to, ep - e, (ep - epi) - (e - ei));
       ++c.moves_accepted;
       ++epoch;
       if constexpr (kMirror) {
+        // The gather already certified the target adjacent and empty, so
+        // skip apply_move's precondition probes along with the recounts;
+        // the mirror, not the system's index, records the move.
+        sys.apply_move_unchecked(pr.pi, to, ep - e, (ep - epi) - (e - ei));
         cells[lp_cell] = cells[base];
         cells[base] = 0;
         // Keep every particle at least kMirrorSlack (> the gather's
@@ -404,6 +413,10 @@ std::size_t StepPipeline::execute_block(std::size_t begin, std::size_t count) {
           }
           cells = cells_.data();  // assign() may have reallocated
         }
+      } else {
+        // The FlatMap walk reads the index it mutates, so it applies
+        // through the delta-fed checked overload, which keeps it current.
+        sys.apply_move(pr.pi, to, ep - e, (ep - epi) - (e - ei));
       }
       continue;
     }
@@ -418,16 +431,19 @@ std::size_t StepPipeline::execute_block(std::size_t begin, std::size_t count) {
     // the conditional cell exchange masks to zero for equal top nibbles.
     // The h(σ) delta of a heterogeneous swap is −swap_exponent — the
     // neighborhood is already in registers, so the apply skips both
-    // before/after occupancy recounts.
-    sys.apply_swap_unchecked(pr.pi, nb.p_at_lp, -sx);
+    // before/after occupancy recounts. As for moves, the FlatMap walk
+    // applies through the delta-fed checked overload.
     ++c.swaps_accepted;
     ++epoch;
     if constexpr (kMirror) {
+      sys.apply_swap_unchecked(pr.pi, nb.p_at_lp, -sx);
       const std::uint32_t a = cells[base];
       const std::uint32_t b = cells[lp_cell];
       const std::uint32_t mask = ((a ^ b) >> 28) != 0 ? ~std::uint32_t{0} : 0;
       cells[base] = a ^ ((a ^ b) & mask);
       cells[lp_cell] = b ^ ((a ^ b) & mask);
+    } else {
+      sys.apply_swap(pr.pi, nb.p_at_lp, -sx);
     }
   }
 

@@ -42,16 +42,19 @@
 // each `(particle index + 1) | ((color ^ 0xF) << 28)` (0 = empty), so
 // one gather is ten direct array loads assembled branch-free into a
 // NeighborhoodGather — no hash probe chains, no data-dependent
-// branches. The mirror is derived state: it is rebuilt from the
-// particle system at every run() entry (the system may have been
-// stepped externally between calls), kept exactly in sync by the
-// pipeline's own accepted moves/swaps within a run, and rebuilt with
-// fresh margin when a move drifts near the box edge. Systems the
-// mirror cannot cover economically (disconnected outliers blowing up
-// the bounding box) fall back to the FlatMap gather path with
-// occupancy-line prefetch hints — same trajectory, fewer tricks.
-// step() itself keeps the plain FlatMap path: it is the reference twin
-// the pipeline is tested against, not the production driver.
+// branches. The mirror is built from the particle system at every
+// run() entry (the system may have been stepped externally between
+// calls) and rebuilt with fresh margin when a move drifts near the box
+// edge. Within a run it is the only occupancy structure kept current:
+// accepted moves/swaps go through the system's *_unchecked mutators,
+// which update positions and edge counts but leave the FlatMap index
+// stale, and run() rebuilds the index once on exit. Systems the mirror
+// cannot cover economically (disconnected outliers blowing up the
+// bounding box) fall back to the FlatMap gather path with
+// occupancy-line prefetch hints, after a reindex and applying through
+// the delta-fed checked mutators — same trajectory, fewer tricks. step() itself
+// keeps the plain FlatMap path: it is the reference twin the pipeline
+// is tested against, not the production driver.
 //
 // The contract, pinned by tests/step_pipeline_test.cpp at every block
 // size and segment split: a trajectory driven by StepPipeline::run is
@@ -97,6 +100,7 @@ class StepPipeline {
     std::uint64_t speculative_misses = 0;///< epoch moved; plain fallback
     std::uint64_t mirror_rebuilds = 0;   ///< dense-mirror (re)builds
     std::uint64_t spec_windows = 0;      ///< 8-proposal window gathers issued
+    std::uint64_t reindexes = 0;         ///< occupancy-index repairs
   };
 
   /// Binds to `chain` (kept by reference; must outlive the pipeline).

@@ -14,7 +14,10 @@ std::optional<int> direction_between(Node a, Node b) noexcept {
 }
 
 bool adjacent(Node a, Node b) noexcept {
-  return direction_between(a, b).has_value();
+  // The six neighbors are exactly the nodes at hex distance 1; the
+  // arithmetic test avoids direction_between's data-dependent branches
+  // on the mutators' precondition checks.
+  return distance(a, b) == 1;
 }
 
 std::int64_t distance(Node a, Node b) noexcept {

@@ -151,9 +151,8 @@ void ParticleSystem::apply_move(ParticleIndex i, Node to,
 void ParticleSystem::apply_move_unchecked(ParticleIndex i, Node to,
                                           std::int64_t edge_delta,
                                           std::int64_t hetero_delta) {
-  occupancy_.erase(lattice::pack(positions_[static_cast<std::size_t>(i)]));
+  stale_ = true;
   positions_[static_cast<std::size_t>(i)] = to;
-  occupancy_.insert(lattice::pack(to), i);
   edges_ += edge_delta;
   hetero_edges_ += hetero_delta;
 }
@@ -164,13 +163,23 @@ void ParticleSystem::apply_swap_unchecked(ParticleIndex i, ParticleIndex j,
       colors_[static_cast<std::size_t>(j)]) {
     return;  // configuration unchanged, exactly like apply_swap
   }
+  stale_ = true;
   const Node a = positions_[static_cast<std::size_t>(i)];
   const Node b = positions_[static_cast<std::size_t>(j)];
   positions_[static_cast<std::size_t>(i)] = b;
   positions_[static_cast<std::size_t>(j)] = a;
-  occupancy_.insert(lattice::pack(a), j);
-  occupancy_.insert(lattice::pack(b), i);
   hetero_edges_ += hetero_delta;
+}
+
+bool ParticleSystem::reindex() {
+  if (!stale_) return false;
+  occupancy_.clear();
+  for (std::size_t i = 0; i < positions_.size(); ++i) {
+    occupancy_.insert(lattice::pack(positions_[i]),
+                      static_cast<ParticleIndex>(i));
+  }
+  stale_ = false;
+  return true;
 }
 
 void ParticleSystem::apply_swap(ParticleIndex i, ParticleIndex j) {
@@ -206,6 +215,21 @@ void ParticleSystem::apply_swap(ParticleIndex i, ParticleIndex j) {
 
   const std::int64_t het_after = local_hetero();
   hetero_edges_ += het_after - het_before;
+}
+
+void ParticleSystem::apply_swap(ParticleIndex i, ParticleIndex j,
+                                std::int64_t hetero_delta) {
+  const Node a = position(i);
+  const Node b = position(j);
+  if (!lattice::adjacent(a, b)) {
+    throw std::invalid_argument("apply_swap: particles not adjacent");
+  }
+  if (color(i) == color(j)) return;  // configuration unchanged
+  positions_[static_cast<std::size_t>(i)] = b;
+  positions_[static_cast<std::size_t>(j)] = a;
+  occupancy_.insert(lattice::pack(a), j);
+  occupancy_.insert(lattice::pack(b), i);
+  hetero_edges_ += hetero_delta;
 }
 
 void ParticleSystem::apply_recolor(ParticleIndex i, Color c) {

@@ -8,12 +8,21 @@
 //
 // Mutations are restricted to the two Markov-chain primitives:
 // `apply_move` (one particle to an adjacent empty node) and `apply_swap`
-// (two adjacent particles exchange positions). Global invariants
+// (two adjacent particles exchange positions).
+//
+// Occupancy lives in two places: `positions_` (authoritative) and a
+// node -> particle hash index answering `particle_at`/`occupied`. The
+// checked mutators keep both in step. The `*_unchecked` pair, driven by
+// the batched executors that read their own dense occupancy copy, writes
+// only positions and edge counts and marks the index stale; `reindex()`
+// rebuilds it, and every index read asserts (in debug builds) that the
+// index is not stale. Global invariants
 // (connectivity, hole-freeness, boundary walk) are verified by the
 // functions in invariants.hpp, which intentionally use independent
 // algorithms so tests can cross-check the incremental bookkeeping.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -79,12 +88,12 @@ class ParticleSystem {
   }
 
   [[nodiscard]] bool occupied(lattice::Node v) const noexcept {
-    return occupancy_.contains(lattice::pack(v));
+    return index().contains(lattice::pack(v));
   }
 
   /// The particle at `v`, or kNoParticle.
   [[nodiscard]] ParticleIndex particle_at(lattice::Node v) const noexcept {
-    const ParticleIndex* p = occupancy_.find(lattice::pack(v));
+    const ParticleIndex* p = index().find(lattice::pack(v));
     return p ? *p : kNoParticle;
   }
 
@@ -111,7 +120,7 @@ class ParticleSystem {
   /// and the positions-array entry for particle `i`. Pure hints — no
   /// lookup counted, no state touched, safe on stale speculation.
   void prefetch_occupancy(lattice::Node v) const noexcept {
-    occupancy_.prefetch(lattice::pack(v));
+    index().prefetch(lattice::pack(v));
   }
   void prefetch_position(ParticleIndex i) const noexcept {
 #if defined(__GNUC__) || defined(__clang__)
@@ -159,10 +168,12 @@ class ParticleSystem {
                   std::int64_t hetero_delta);
 
   /// apply_move with deltas, minus the adjacency/occupancy precondition
-  /// probes. For callers whose gather already certified the target empty
-  /// and adjacent (the step pipeline reads the proposal edge through its
-  /// dense occupancy mirror); produces the identical state as the checked
-  /// overload when the preconditions hold.
+  /// probes and minus the index update. For executors whose dense
+  /// occupancy copy (the pipeline mirror, the band arena) already
+  /// certified the target empty and adjacent and stays authoritative
+  /// until they call reindex(). Positions, e(σ) and h(σ) come out
+  /// identical to the checked overload's when the preconditions hold;
+  /// the index is left stale.
   void apply_move_unchecked(ParticleIndex i, lattice::Node to,
                             std::int64_t edge_delta,
                             std::int64_t hetero_delta);
@@ -170,13 +181,27 @@ class ParticleSystem {
   /// Swaps the positions of two adjacent particles.
   void apply_swap(ParticleIndex i, ParticleIndex j);
 
-  /// apply_swap with a caller-supplied h(σ) delta instead of the two
+  /// Same swap, but with a caller-supplied h(σ) delta instead of the two
   /// before/after recounts (2 × 2 × 6 occupancy probes). The delta of a
   /// heterogeneous swap is a pure function of the gathered neighborhood:
   /// exactly −NeighborhoodView::swap_exponent(). Same-color swaps are a
-  /// configuration no-op (delta ignored), matching the checked overload.
+  /// configuration no-op (delta ignored).
+  void apply_swap(ParticleIndex i, ParticleIndex j, std::int64_t hetero_delta);
+
+  /// The delta-fed apply_swap minus the adjacency check and the index
+  /// update (see apply_move_unchecked). Same-color swaps are a
+  /// configuration no-op and leave the index current.
   void apply_swap_unchecked(ParticleIndex i, ParticleIndex j,
                             std::int64_t hetero_delta);
+
+  /// Rebuilds the occupancy index from positions_ after unchecked
+  /// mutations: clear, then re-insert all n particles. The table's
+  /// capacity never changes. Returns whether the index was stale (a
+  /// current index is left untouched).
+  bool reindex();
+
+  /// True while an unchecked mutation awaits reindex().
+  [[nodiscard]] bool index_stale() const noexcept { return stale_; }
 
   /// Recolors particle `i` in place (spin/orientation flip for chains
   /// whose colors are mutable internal state rather than immutable
@@ -219,9 +244,16 @@ class ParticleSystem {
                                                   std::int64_t* hetero) const
       noexcept;
 
+  /// The occupancy index, for reading; never while it is stale.
+  [[nodiscard]] const util::FlatMap<ParticleIndex>& index() const noexcept {
+    assert(!stale_ && "occupancy index read before reindex()");
+    return occupancy_;
+  }
+
   std::vector<lattice::Node> positions_;
   std::vector<Color> colors_;
   util::FlatMap<ParticleIndex> occupancy_;
+  bool stale_ = false;  ///< an unchecked mutation since the last reindex
   std::int64_t edges_ = 0;
   std::int64_t hetero_edges_ = 0;
   int num_colors_ = 1;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -133,6 +134,7 @@ TEST(ParticleSystemTest, SwapValidatesAdjacency) {
   const std::vector<Color> colors{0, 1};
   ParticleSystem sys(nodes, colors);
   EXPECT_THROW(sys.apply_swap(0, 1), std::invalid_argument);
+  EXPECT_THROW(sys.apply_swap(0, 1, 0), std::invalid_argument);
 }
 
 TEST(ParticleSystemTest, ColorHistogram) {
@@ -175,19 +177,56 @@ TEST(ParticleSystemTest, IncrementalCountsMatchRecountUnderChurn) {
   }
 }
 
-// Twin test for the unchecked delta-fed mutators the step pipeline
-// drives: against a second system mutated by the checked overloads, a
-// churn of moves (deltas from a recount oracle) and swaps (delta from
-// the hetero recount identity) must stay byte-identical in positions,
-// occupancy, and edge bookkeeping.
+// Compares two systems' occupancy indexes node by node over the union
+// of their bounding boxes plus a one-node rim, so a stale or missing
+// entry anywhere — not just at the last mutated node — shows up.
+void expect_same_index(const ParticleSystem& a, const ParticleSystem& b,
+                       int step) {
+  int xmin = a.position(0).x, xmax = xmin, ymin = a.position(0).y, ymax = ymin;
+  for (const ParticleSystem* sys : {&a, &b}) {
+    for (const Node v : sys->positions()) {
+      xmin = std::min(xmin, v.x);
+      xmax = std::max(xmax, v.x);
+      ymin = std::min(ymin, v.y);
+      ymax = std::max(ymax, v.y);
+    }
+  }
+  for (int y = ymin - 1; y <= ymax + 1; ++y) {
+    for (int x = xmin - 1; x <= xmax + 1; ++x) {
+      const Node v{x, y};
+      ASSERT_EQ(a.particle_at(v), b.particle_at(v))
+          << "step " << step << " node (" << x << ", " << y << ")";
+      ASSERT_EQ(a.occupied(v), b.occupied(v)) << "step " << step;
+    }
+  }
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    const auto pi = static_cast<ParticleIndex>(i);
+    ASSERT_EQ(b.particle_at(b.position(pi)), pi) << "step " << step;
+  }
+}
+
+// Twin test for the delta-fed mutators the step pipeline and the
+// replica band drive: against a system mutated by the recounting
+// checked overloads, a churn of moves (deltas from a recount oracle)
+// and swaps (delta from the hetero recount identity) must stay
+// byte-identical in positions and edge bookkeeping. The delta-fed
+// checked overloads (the executors' FlatMap walks) keep the whole
+// index equal to the oracle's after every mutation. The unchecked pair
+// (their mirror/arena walks) leaves the index stale; after reindex() —
+// issued after runs of 0..32 deferred mutations — the whole index must
+// equal the oracle's, at an unchanged capacity.
 TEST(ParticleSystemTest, UncheckedMutatorsMatchCheckedTwins) {
   util::Rng rng(505);
   auto nodes = lattice::compact_blob(40);
   std::vector<Color> colors(40);
   for (auto& c : colors) c = static_cast<Color>(rng.below(3));
   ParticleSystem checked(nodes, colors);
+  ParticleSystem fed(nodes, colors);
   ParticleSystem unchecked(nodes, colors);
+  const std::size_t capacity = unchecked.occupancy_capacity();
+  EXPECT_FALSE(unchecked.reindex()) << "fresh index rebuilt";
 
+  std::uint64_t pending = rng.below(33);
   for (int step = 0; step < 3000; ++step) {
     const auto i = static_cast<ParticleIndex>(rng.below(checked.size()));
     const int dir = static_cast<int>(rng.below(6));
@@ -197,20 +236,38 @@ TEST(ParticleSystemTest, UncheckedMutatorsMatchCheckedTwins) {
       const std::int64_t e0 = checked.edge_count();
       const std::int64_t h0 = checked.hetero_edge_count();
       checked.apply_move(i, target);
+      fed.apply_move(i, target, checked.edge_count() - e0,
+                     checked.hetero_edge_count() - h0);
       unchecked.apply_move_unchecked(i, target, checked.edge_count() - e0,
                                      checked.hetero_edge_count() - h0);
+      ASSERT_TRUE(unchecked.index_stale()) << "step " << step;
     } else if (j != i) {
       const std::int64_t h0 = checked.hetero_edge_count();
       checked.apply_swap(i, j);
+      fed.apply_swap(i, j, checked.hetero_edge_count() - h0);
       unchecked.apply_swap_unchecked(i, j, checked.hetero_edge_count() - h0);
     }
+    ASSERT_EQ(checked.positions(), fed.positions()) << "step " << step;
+    ASSERT_EQ(checked.edge_count(), fed.edge_count()) << "step " << step;
+    ASSERT_EQ(checked.hetero_edge_count(), fed.hetero_edge_count())
+        << "step " << step;
+    ASSERT_FALSE(fed.index_stale()) << "step " << step;
+    ASSERT_NO_FATAL_FAILURE(expect_same_index(checked, fed, step));
     ASSERT_EQ(checked.positions(), unchecked.positions()) << "step " << step;
     ASSERT_EQ(checked.edge_count(), unchecked.edge_count()) << "step " << step;
     ASSERT_EQ(checked.hetero_edge_count(), unchecked.hetero_edge_count())
         << "step " << step;
-    ASSERT_EQ(checked.particle_at(target), unchecked.particle_at(target))
-        << "step " << step;
+    if (pending-- == 0) {
+      unchecked.reindex();
+      ASSERT_FALSE(unchecked.index_stale()) << "step " << step;
+      ASSERT_EQ(unchecked.occupancy_capacity(), capacity) << "step " << step;
+      ASSERT_NO_FATAL_FAILURE(expect_same_index(checked, unchecked, step));
+      pending = rng.below(33);
+    }
   }
+  unchecked.reindex();
+  expect_same_index(checked, unchecked, 3000);
+  EXPECT_EQ(unchecked.occupancy_capacity(), capacity);
 }
 
 TEST(IoTest, SaveLoadRoundTrip) {

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <unordered_set>
 #include <vector>
 
 #include "src/core/cell_codec.hpp"
@@ -53,8 +54,31 @@ std::vector<SeparationChain*> pointers(std::vector<SeparationChain>& chains) {
   return p;
 }
 
+// The band defers each lane's occupancy index while the arena owns
+// occupancy and rebuilds it when run() returns: the index must map every
+// position back to its particle and report exactly the positions — no
+// neighbor of one — as occupied. Checking each particle and its six
+// neighbors covers every node a step can read, however large the box.
+void expect_index_current(const ParticleSystem& sys, const std::string& what) {
+  EXPECT_FALSE(sys.index_stale()) << what;
+  std::unordered_set<std::uint64_t> at;
+  for (const lattice::Node v : sys.positions()) at.insert(lattice::pack(v));
+  std::size_t wrong = 0;
+  for (std::size_t i = 0; i < sys.size(); ++i) {
+    const auto pi = static_cast<system::ParticleIndex>(i);
+    const lattice::Node v = sys.position(pi);
+    if (sys.particle_at(v) != pi) ++wrong;
+    for (int d = 0; d < 6; ++d) {
+      const lattice::Node u = lattice::neighbor(v, d);
+      if (sys.occupied(u) != at.contains(lattice::pack(u))) ++wrong;
+    }
+  }
+  EXPECT_EQ(wrong, 0u) << what << ": index disagrees with positions";
+}
+
 void expect_same_state(const SeparationChain& a, const SeparationChain& b,
                        const std::string& what) {
+  expect_index_current(b.system(), what);
   EXPECT_EQ(a.system().positions(), b.system().positions()) << what;
   EXPECT_EQ(a.system().colors(), b.system().colors()) << what;
   EXPECT_EQ(a.system().edge_count(), b.system().edge_count()) << what;
@@ -184,6 +208,7 @@ TEST(ReplicaBand, SegmentsAndExternalStepsAreAbsorbed) {
   for (int round = 0; round < 8; ++round) {
     band.run(seg);
     for (std::size_t r = 0; r < 8; ++r) {
+      expect_index_current(banded[r].system(), "before external steps");
       for (std::uint64_t i = 0; i < seg; ++i) serial[r].step();
       for (int i = 0; i < 57; ++i) {
         serial[r].step();
@@ -242,9 +267,62 @@ TEST(ReplicaBand, OversizedBoundingBoxFallsBackToFlatMapGather) {
   band.run(20000);
   EXPECT_EQ(band.stats().arena_rebuilds, 0u);
   EXPECT_EQ(band.stats().simd_steps, 0u);
+  // The FlatMap walk keeps the index current itself: nothing to rebuild.
+  EXPECT_EQ(band.stats().reindexes, 0u);
   for (std::size_t r = 0; r < 8; ++r) {
     for (int i = 0; i < 20000; ++i) serial[r].step();
     const std::string what = "outlier lane " + std::to_string(r);
+    expect_same_state(serial[r], banded[r], what);
+    expect_rng_in_sync(serial[r], banded[r], what);
+  }
+}
+
+// Every lane is a compact blob plus a far-off dimer, placed so the
+// shared plane sits just under its cell cap. The dimers roll freely
+// (each of their moves keeps one neighbor), and once one drifts into
+// its guard band the re-centered plane no longer fits: the arena is
+// declined mid-run, after the arena walks have already deferred index
+// updates on every lane, and the FlatMap walk must take each lane over
+// from a rebuilt index without perturbing a byte.
+TEST(ReplicaBand, ArenaDeclinedMidRunHandsOverToFlatMap) {
+  auto nodes = lattice::compact_blob(60);
+  int xmin = nodes[0].x, ymin = nodes[0].y, ymax = nodes[0].y;
+  for (const lattice::Node v : nodes) {
+    xmin = std::min(xmin, v.x);
+    ymin = std::min(ymin, v.y);
+    ymax = std::max(ymax, v.y);
+  }
+  // Plane = (extent + 2·8 margin) per axis against a 2^20-cell cap: put
+  // the dimer's right end on the widest column that still fits.
+  const int h = (ymax - ymin + 1) + 16;
+  const int right = xmin + (1 << 20) / h - 16 - 1;
+  nodes.push_back(lattice::Node{right - 1, ymin});
+  nodes.push_back(lattice::Node{right, ymin});
+  const Params params{4.0, 4.0, true};
+  std::vector<SeparationChain> banded;
+  std::vector<SeparationChain> serial;
+  for (std::size_t r = 0; r < 8; ++r) {
+    util::Rng rng(88 + r);
+    const auto colors = balanced_random_colors(nodes.size(), 2, rng);
+    banded.emplace_back(ParticleSystem(nodes, colors), params, 88 + r);
+    serial.emplace_back(ParticleSystem(nodes, colors), params, 88 + r);
+  }
+  auto ptrs = pointers(banded);
+  ReplicaBand band(ptrs);
+  band.run(1);
+  ASSERT_EQ(band.stats().arena_rebuilds, 1u) << "plane over the cap";
+  band.run(200000);
+  // The arena survives across calls, so the next entry rebuilds only
+  // because a mid-run decline dropped it; that rebuild must decline too
+  // (the plane grew past the cap) and leave the count alone.
+  const std::uint64_t rebuilds = band.stats().arena_rebuilds;
+  band.run(1);
+  EXPECT_EQ(band.stats().arena_rebuilds, rebuilds)
+      << "no dimer pushed the plane past the cap";
+  EXPECT_GT(band.stats().reindexes, 0u);
+  for (std::size_t r = 0; r < 8; ++r) {
+    for (int i = 0; i < 200002; ++i) serial[r].step();
+    const std::string what = "mid-run decline lane " + std::to_string(r);
     expect_same_state(serial[r], banded[r], what);
     expect_rng_in_sync(serial[r], banded[r], what);
   }

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "src/core/coloring.hpp"
@@ -50,8 +51,31 @@ const Setting kSettings[] = {
     {120, 2, Params{1.0, 1.0, true}, 44},
 };
 
+// The pipeline defers the system's occupancy index while its mirror
+// owns occupancy and rebuilds it when run() returns: the index must map
+// every position back to its particle and report exactly the positions
+// — no neighbor of one — as occupied. Checking each particle and its six
+// neighbors covers every node a step can read, however large the box.
+void expect_index_current(const ParticleSystem& sys, const char* what) {
+  EXPECT_FALSE(sys.index_stale()) << what;
+  std::unordered_set<std::uint64_t> at;
+  for (const lattice::Node v : sys.positions()) at.insert(lattice::pack(v));
+  std::size_t wrong = 0;
+  for (std::size_t i = 0; i < sys.size(); ++i) {
+    const auto pi = static_cast<system::ParticleIndex>(i);
+    const lattice::Node v = sys.position(pi);
+    if (sys.particle_at(v) != pi) ++wrong;
+    for (int d = 0; d < 6; ++d) {
+      const lattice::Node u = lattice::neighbor(v, d);
+      if (sys.occupied(u) != at.contains(lattice::pack(u))) ++wrong;
+    }
+  }
+  EXPECT_EQ(wrong, 0u) << what << ": index disagrees with positions";
+}
+
 void expect_same_state(const SeparationChain& a, const SeparationChain& b,
                        const char* what) {
+  expect_index_current(b.system(), what);
   EXPECT_EQ(a.system().positions(), b.system().positions()) << what;
   EXPECT_EQ(a.system().colors(), b.system().colors()) << what;
   EXPECT_EQ(a.system().edge_count(), b.system().edge_count()) << what;
@@ -118,6 +142,7 @@ TEST(StepPipeline, SegmentSplitsNeverChangeTheTrajectory) {
   while (remaining > 0) {
     const std::uint64_t take = std::min<std::uint64_t>(seg, remaining);
     pipeline.run(take);
+    expect_index_current(piped.system(), "after a segment");
     remaining -= take;
     seg = seg * 3 + 1;  // 1, 4, 13, 40, ... hits many partial-block tails
   }
@@ -235,6 +260,7 @@ TEST(StepPipeline, ExternalStepsBetweenSegmentsAreAbsorbed) {
   for (int round = 0; round < 6; ++round) {
     for (int i = 0; i < 5000; ++i) serial.step();
     pipeline.run(5000);
+    expect_index_current(piped.system(), "before external steps");
     for (int i = 0; i < 137; ++i) {
       serial.step();
       piped.step();  // mutate the system outside the pipeline
@@ -274,7 +300,49 @@ TEST(StepPipeline, OversizedBoundingBoxFallsBackToFlatMapGather) {
   for (int i = 0; i < 30000; ++i) serial.step();
   pipeline.run(30000);
   EXPECT_EQ(pipeline.stats().mirror_rebuilds, 0u);
+  // The FlatMap walk keeps the index current itself: nothing to rebuild.
+  EXPECT_EQ(pipeline.stats().reindexes, 0u);
   expect_same_state(serial, piped, "disconnected-outlier trajectory");
+  expect_rng_in_sync(serial, piped);
+}
+
+// A compact blob plus a far-off dimer, placed so the mirror box sits
+// just under its cell cap. The dimer rolls freely (each of its moves
+// keeps one neighbor), and once it drifts into the guard band the
+// re-centered box no longer fits: the mirror is declined mid-run, after
+// the mirrored walk has already deferred index updates, and the FlatMap
+// walk must take over from a rebuilt index without perturbing a byte.
+TEST(StepPipeline, MirrorDeclinedMidRunHandsOverToFlatMap) {
+  util::Rng rng(88);
+  auto nodes = lattice::compact_blob(60);
+  int xmin = nodes[0].x, ymin = nodes[0].y, ymax = nodes[0].y;
+  for (const lattice::Node v : nodes) {
+    xmin = std::min(xmin, v.x);
+    ymin = std::min(ymin, v.y);
+    ymax = std::max(ymax, v.y);
+  }
+  // Box = (extent + 2·8 margin) per axis against a 2^20-cell cap: put
+  // the dimer's right end on the widest column that still fits.
+  const int h = (ymax - ymin + 1) + 16;
+  const int right = xmin + (1 << 20) / h - 16 - 1;
+  nodes.push_back(lattice::Node{right - 1, ymin});
+  nodes.push_back(lattice::Node{right, ymin});
+  const auto colors = balanced_random_colors(nodes.size(), 2, rng);
+  const Params params{4.0, 4.0, true};
+  SeparationChain serial(ParticleSystem(nodes, colors), params, 88);
+  SeparationChain piped(ParticleSystem(nodes, colors), params, 88);
+  StepPipeline pipeline(piped);
+  pipeline.run(1);
+  ASSERT_EQ(pipeline.stats().mirror_rebuilds, 1u) << "box over the cap";
+  pipeline.run(400000);
+  const std::uint64_t rebuilds = pipeline.stats().mirror_rebuilds;
+  pipeline.run(1);
+  // An entry rebuild that declines leaves the count alone: the box grew
+  // past the cap, which only a mid-run decline lets happen.
+  EXPECT_EQ(pipeline.stats().mirror_rebuilds, rebuilds)
+      << "the dimer never pushed the box past the cap";
+  for (int i = 0; i < 400002; ++i) serial.step();
+  expect_same_state(serial, piped, "mid-run mirror decline");
   expect_rng_in_sync(serial, piped);
 }
 
