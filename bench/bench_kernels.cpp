@@ -133,11 +133,12 @@ BENCHMARK(BM_RunPipeline_Gamma1)->ArgPair(400, 256)->ArgPair(2000, 256);
 // records whether the AVX2 path was active (0 under SOPS_FORCE_SCALAR
 // or on non-AVX2 hosts; the ratio claim applies to simd == 1 runs);
 // simd_fraction is the share of steps actually executed on the SIMD
-// path (ragged groups, declined arenas, and scalar fall-backs drag it
-// below 1), the coverage number the snapshot script's --counters gate
-// checks. arena_rebuilds, reindexes and tail_words surface
-// ReplicaBand::Stats so a drift-rebuild storm or Lemire-spill anomaly
-// shows up in the snapshot rather than as an unexplained slowdown.
+// path (lanes outside a full 8-lane group and declined arenas run
+// through per-lane pipelines and drag it below 1), the coverage number
+// the snapshot script's --counters gate checks. arena_rebuilds,
+// reindexes and tail_words surface ReplicaBand::Stats so a
+// drift-rebuild storm or Lemire-spill anomaly shows up in the snapshot
+// rather than as an unexplained slowdown.
 void replica_band(benchmark::State& state, double gamma) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto width = static_cast<std::size_t>(state.range(1));

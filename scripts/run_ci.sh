@@ -8,7 +8,9 @@
 # phase-diagram report cmp'd against the committed golden under
 # tests/golden/, and a second kill -9 + elastic-recovery cycle run
 # against bench_alignment_phase_diagram to prove the checkpoint path is
-# model-generic.
+# model-generic. A short traced perfbench replica_ensemble run builds
+# the end-to-end benchmark against the current ReplicaBand API and holds
+# its banded-lane bit-for-bit replay gate.
 #
 # Usage: scripts/run_ci.sh [build-dir]
 #   build-dir  CMake build tree to create/reuse (default: build)
@@ -86,6 +88,15 @@ scripts/check_checkpoint_kill9.sh "$build_dir" bench_thm13_compression
 
 echo "== checkpoint kill -9 + elastic recovery (bench_alignment_phase_diagram)"
 scripts/check_checkpoint_kill9.sh "$build_dir" bench_alignment_phase_diagram
+
+echo "== perfbench replica_ensemble (traced, 2 s)"
+# Builds perfbench from this checkout under .bench_build/perfbench. The
+# traced run drives a ReplicaBand directly (stats(), arena_compact()),
+# and the workload exits nonzero unless replica 0 of each point,
+# replayed through plain SeparationChain::run, matches bit for bit.
+python3 perfbench/run.py --workload replica_ensemble --seed 1 --seconds 2 \
+  --trace 1 | tail -1
+echo "ok: perfbench replica_ensemble gates pass"
 
 echo "== kernel perf vs recorded snapshot ($(
   [[ -n ${SOPS_BENCH_STRICT:-} && ${SOPS_BENCH_STRICT:-} != 0 ]] \

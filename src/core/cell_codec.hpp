@@ -22,10 +22,19 @@
 //
 // The compact layout halves the plane footprint — eight n=1600 replica
 // planes drop from ~128 KiB to ~64 KiB — but caps the particle index at
-// 12 bits; encoders must select it only when n + 1 <= kCompactIndexMask
-// and fall back to the wide layout above that.
+// 12 bits. The pipeline mirror is always wide; the band picks its layout
+// once from n: compact iff n + 1 <= kCompactIndexMask, wide above that.
+//
+// Both builders also share one bounding-box rule: a plane spans the
+// particles' box plus kMargin cells on every side, a move landing
+// within kSlack (> the gather's 2-cell reach) of the edge re-centers
+// it, and a plane above plane_cap(n) cells is refused — connected blobs
+// stay far below it, disconnected outliers can blow the box up without
+// bound — leaving the lane to the FlatMap gather path.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
 namespace sops::core::cell {
@@ -53,11 +62,15 @@ template <typename Cell>
 }
 
 template <typename Cell>
-inline constexpr std::uint32_t kIndexMask =
-    sizeof(Cell) == 2 ? kCompactIndexMask : kWideIndexMask;
-
-template <typename Cell>
 inline constexpr int kNibbleShift =
     sizeof(Cell) == 2 ? kCompactNibbleShift : kWideNibbleShift;
+
+/// Bounding-box economy rule of both mirror builders (see above).
+inline constexpr std::int64_t kMargin = 8;
+inline constexpr std::int64_t kSlack = 3;
+[[nodiscard]] constexpr std::int64_t plane_cap(std::size_t n) noexcept {
+  return std::max<std::int64_t>(std::int64_t{1} << 20,
+                                32 * static_cast<std::int64_t>(n));
+}
 
 }  // namespace sops::core::cell

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <type_traits>
@@ -414,22 +413,12 @@ ReplicaBand::ReplicaBand(std::span<SeparationChain* const> chains,
           "ReplicaBand: chains must share (n, lambda, gamma, swaps_enabled)");
     }
   }
-  switch (mode) {
-    case Mode::kAuto:
-      simd_ = auto_simd();
-      break;
-    case Mode::kScalar:
-      simd_ = false;
-      break;
-    case Mode::kSimd:
-      if (!detail::cpu_has_avx2()) {
-        throw std::invalid_argument("ReplicaBand: AVX2 unavailable");
-      }
-      simd_ = true;
-      break;
-  }
+  simd_ = mode == Mode::kAuto && auto_simd();
   decode512_ = simd_ && detail::cpu_has_avx512f();
+  compact_ = head.system().size() + 1 <= cell::kCompactIndexMask;
   const std::size_t w = chains_.size();
+  group_lanes_ = simd_ ? w / 8 * 8 : 0;
+  pipes_.resize(w);
   pi_.resize(block_size_ * w);
   dir_.resize(block_size_ * w);
   q_.resize(block_size_ * w);
@@ -467,9 +456,6 @@ ReplicaBand::ReplicaBand(std::span<SeparationChain* const> chains,
           static_cast<std::int64_t>(lo);
     }
   }
-  if (const char* e = std::getenv("SOPS_BAND_COMPACT")) {
-    layout_override_ = e[0] == '0' ? 0 : 1;
-  }
 }
 
 void ReplicaBand::run(std::uint64_t iterations) {
@@ -483,57 +469,78 @@ void ReplicaBand::run(std::span<const std::uint64_t> quotas) {
   if (quotas.size() != width()) {
     throw std::invalid_argument("ReplicaBand: quota count != width");
   }
-  // The arena and SoA are derived state. They survive across run()
-  // calls as long as no bound chain advanced outside the band: the
-  // step counters are monotone, so comparing them against the counts
-  // recorded at the last sync detects any interleaved serial stepping
-  // (see invalidate_arena() for the one case it cannot see).
-  bool fresh = arena_ok_ && arena_synced_;
-  for (std::size_t r = 0; fresh && r < width(); ++r) {
-    fresh = chains_[r]->counters_.steps == synced_steps_[r];
-  }
-  if (!fresh) rebuild_arena();
+  const std::size_t G = group_lanes_;
   std::array<std::uint64_t, kMaxWidth> rem{};
-  std::uint64_t most = 0;
-  for (std::size_t r = 0; r < width(); ++r) {
-    rem[r] = quotas[r];
-    most = std::max(most, rem[r]);
-  }
-  std::array<std::size_t, kMaxWidth> active{};
-  while (most > 0) {
-    const std::size_t count =
-        static_cast<std::size_t>(std::min<std::uint64_t>(most, block_size_));
-    for (std::size_t r = 0; r < width(); ++r) {
-      active[r] =
-          static_cast<std::size_t>(std::min<std::uint64_t>(rem[r], count));
+  std::copy(quotas.begin(), quotas.end(), rem.begin());
+  if (G > 0) {
+    // The arena and SoA are derived state. They survive across run()
+    // calls as long as no group lane advanced outside the band: the
+    // step counters are monotone, so comparing them against the counts
+    // recorded at the last sync detects any interleaved serial stepping
+    // (see invalidate_arena() for the one case it cannot see).
+    bool fresh = arena_ok_ && arena_synced_;
+    for (std::size_t r = 0; fresh && r < G; ++r) {
+      fresh = chains_[r]->counters_.steps == synced_steps_[r];
     }
-    run_block(active.data(), count);
-    most = 0;
-    for (std::size_t r = 0; r < width(); ++r) {
-      rem[r] -= active[r];
-      most = std::max(most, rem[r]);
+    if (!fresh) rebuild_arena();
+    std::uint64_t most = *std::max_element(rem.begin(), rem.begin() + G);
+    std::array<std::size_t, kMaxWidth> active{};
+    std::array<std::size_t, kMaxWidth> done{};
+    while (arena_ok_ && most > 0) {
+      const std::size_t count =
+          static_cast<std::size_t>(std::min<std::uint64_t>(most, block_size_));
+      for (std::size_t r = 0; r < G; ++r) {
+        active[r] =
+            static_cast<std::size_t>(std::min<std::uint64_t>(rem[r], count));
+      }
+      run_block(active.data(), done.data(), count);
+      most = 0;
+      for (std::size_t r = 0; r < G; ++r) {
+        rem[r] -= done[r];
+        most = std::max(most, rem[r]);
+      }
     }
   }
-  // The arena walks applied their accepts without touching the lanes'
-  // occupancy indexes; one rebuild per lane hands them back current.
+  // Whatever the SIMD groups did not run — every lane outside them, and
+  // all of them when the arena is refused or was declined — each lane's
+  // pipeline runs to the end of its quota.
   for (std::size_t r = 0; r < width(); ++r) {
+    if (rem[r] > 0) run_lane(r, rem[r]);
+  }
+  // The arena walks applied their accepts without touching the group
+  // lanes' occupancy indexes; one rebuild per lane hands them back
+  // current (a no-op for a lane its pipeline already reindexed).
+  for (std::size_t r = 0; r < G; ++r) {
     synced_steps_[r] = chains_[r]->counters_.steps;
     stats_.reindexes += chains_[r]->sys_.reindex();
   }
   arena_synced_ = arena_ok_;
 }
 
+void ReplicaBand::run_lane(std::size_t r, std::uint64_t steps) {
+  std::unique_ptr<StepPipeline>& pipe = pipes_[r];
+  if (!pipe) pipe = std::make_unique<StepPipeline>(*chains_[r], block_size_);
+  const StepPipeline::Stats before = pipe->stats();
+  pipe->run(steps);
+  const StepPipeline::Stats& after = pipe->stats();
+  stats_.refill_words += after.refill_words - before.refill_words;
+  stats_.tail_words += after.tail_words - before.tail_words;
+  stats_.reindexes += after.reindexes - before.reindexes;
+  stats_.scalar_steps += steps;
+}
+
 template <typename Cell>
 void ReplicaBand::fill_arena(std::vector<Cell>& cells, std::int64_t plane) {
   const std::size_t W = width();
+  const std::size_t G = group_lanes_;
   const std::size_t n = chains_[0]->sys_.size();
   // Two cells of tail padding keep the compact path's scale-2 pair
   // gathers (which read the addressed cell and its memory successor)
   // inside the allocation at the last plane's edge.
   cells.assign(
-      static_cast<std::size_t>(plane * static_cast<std::int64_t>(W)) + 2, 0);
+      static_cast<std::size_t>(plane * static_cast<std::int64_t>(G)) + 2, 0);
   pcell_.resize(n * W);
-  for (std::size_t r = 0; r < W; ++r) {
+  for (std::size_t r = 0; r < G; ++r) {
     const system::ParticleSystem& sys = chains_[r]->sys_;
     gbase_[r] = static_cast<std::int64_t>(r) * plane - y0_[r] * w_ - x0_[r];
     for (std::size_t i = 0; i < n; ++i) {
@@ -551,13 +558,15 @@ void ReplicaBand::fill_arena(std::vector<Cell>& cells, std::int64_t plane) {
 
 void ReplicaBand::rebuild_arena() {
   arena_ok_ = false;
-  const std::size_t W = width();
+  const std::size_t G = group_lanes_;
   const std::size_t n = chains_[0]->sys_.size();
+  // The wide index field also keeps n below the 2^24 the vector decode
+  // requires.
   if (n == 0 || n + 1 > cell::kWideIndexMask) return;
 
   std::int64_t wmax = 0;
   std::int64_t hmax = 0;
-  for (std::size_t r = 0; r < W; ++r) {
+  for (std::size_t r = 0; r < G; ++r) {
     const system::ParticleSystem& sys = chains_[r]->sys_;
     std::int64_t xmin = std::numeric_limits<std::int64_t>::max();
     std::int64_t xmax = std::numeric_limits<std::int64_t>::min();
@@ -570,46 +579,26 @@ void ReplicaBand::rebuild_arena() {
       ymin = std::min<std::int64_t>(ymin, v.y);
       ymax = std::max<std::int64_t>(ymax, v.y);
     }
-    x0_[r] = xmin - kArenaMargin;
-    y0_[r] = ymin - kArenaMargin;
-    wmax = std::max(wmax, (xmax - xmin + 1) + 2 * kArenaMargin);
-    hmax = std::max(hmax, (ymax - ymin + 1) + 2 * kArenaMargin);
+    x0_[r] = xmin - cell::kMargin;
+    y0_[r] = ymin - cell::kMargin;
+    wmax = std::max(wmax, (xmax - xmin + 1) + 2 * cell::kMargin);
+    hmax = std::max(hmax, (ymax - ymin + 1) + 2 * cell::kMargin);
   }
-  // Same economy rule as the pipeline's mirror, on the shared extent:
-  // refuse pathological boxes and let the FlatMap path carry them. The
+  // The pipeline mirror's economy rule, on the shared extent: refuse
+  // pathological boxes and let the lane pipelines carry them. The
   // kIdxBits bound keeps every packed cell address inside its field.
-  const std::int64_t cap = std::max<std::int64_t>(
-      std::int64_t{1} << 20, 32 * static_cast<std::int64_t>(n));
   const std::int64_t plane = wmax * hmax;
-  if (plane > cap) return;
-  if (plane * static_cast<std::int64_t>(W) >
+  if (plane > cell::plane_cap(n)) return;
+  if (plane * static_cast<std::int64_t>(G) >
       static_cast<std::int64_t>(kIdxMask)) {
     return;
   }
 
   w_ = wmax;
   h_ = hmax;
-  // Layout selection: the compact 16-bit cells need index+1 inside
-  // their 12-bit field, and by default engage only once the wide
-  // layout's total footprint crosses kCompactSelectBytes — below that
-  // the planes are cache-resident either way and the pair gathers'
-  // cacheline-split tax outweighs the halved footprint (measured on
-  // the AVX2 tier; see DESIGN §4). SOPS_BAND_COMPACT pins the choice
-  // for tests. Drift rebuilds re-derive the same inputs, so a band
-  // re-selects its layout only when its bounding boxes actually grew
-  // or shrank across the byte threshold; the inactive store is
-  // emptied so no stale plane survives.
-  const bool fits = n + 1 <= cell::kCompactIndexMask;
-  compact_ =
-      fits && (layout_override_ == 1 ||
-               (layout_override_ != 0 &&
-                plane * static_cast<std::int64_t>(W) * 4 >
-                    kCompactSelectBytes));
   if (compact_) {
-    cells_.clear();
     fill_arena(cells16_, plane);
   } else {
-    cells16_.clear();
     fill_arena(cells_, plane);
   }
   for (int d = 0; d < 6; ++d) {
@@ -627,18 +616,19 @@ void ReplicaBand::rebuild_arena() {
   arena_ok_ = true;
 }
 
-void ReplicaBand::run_block(const std::size_t* active, std::size_t count) {
+void ReplicaBand::run_block(const std::size_t* active, std::size_t* done,
+                            std::size_t count) {
   ++stats_.blocks;
-  const std::size_t W = width();
-  const std::uint64_t n = chains_[0]->sys_.size();
+  const std::size_t G = group_lanes_;
 
-  // DECODE: full 8-lane groups run the vectorized generator+Lemire
-  // path over the group's uniform tick prefix; ragged per-lane tails
-  // and partial groups use the scalar bulk-refill decode. Word
-  // consumption per lane is identical either way.
-  const std::size_t vec_lanes =
-      (simd_ && n < (std::uint64_t{1} << 24)) ? (W / 8) * 8 : 0;
-  for (std::size_t g = 0; g + 8 <= vec_lanes; g += 8) {
+  // DECODE: each full 8-lane group runs the vectorized generator+Lemire
+  // path over the group's uniform tick prefix; ragged per-lane tails use
+  // the scalar bulk-refill decode. Word consumption per lane is
+  // identical either way. The pre-decode states let a declined arena
+  // rewind the streams below.
+  std::array<util::Rng::State, kMaxWidth> snap{};
+  for (std::size_t r = 0; r < G; ++r) snap[r] = chains_[r]->rng_.state();
+  for (std::size_t g = 0; g < G; g += 8) {
     std::size_t uniform = count;
     for (std::size_t j = 0; j < 8; ++j) {
       uniform = std::min(uniform, active[g + j]);
@@ -650,59 +640,36 @@ void ReplicaBand::run_block(const std::size_t* active, std::size_t count) {
       }
     }
   }
-  for (std::size_t r = vec_lanes; r < W; ++r) decode_lane(r, 0, active[r]);
 
-  // EXECUTE: SIMD over the full 8-lane groups — a width-16 band runs
-  // its two groups interleaved through one tick loop, anything else
-  // group by group, lanes whose quota ends early masked off tick by
-  // tick — then a scalar sweep for everything left: partial groups and
-  // the remainder of a block whose arena was declined mid-walk. Lanes
-  // are independent chains, so per-lane tick order is the only
-  // ordering that matters.
-  std::array<std::size_t, kMaxWidth> done{};
-  if (simd_ && arena_ok_) {
-    if (W == 16) {
-      std::size_t most = 0;
-      for (std::size_t r = 0; r < 16; ++r) most = std::max(most, active[r]);
-      const std::size_t stop =
-          most > 0 ? (compact_ ? execute_pair_simd<true>(0, active)
-                               : execute_pair_simd<false>(0, active))
-                   : 0;
-      for (std::size_t r = 0; r < 16; ++r) {
-        done[r] = std::min(stop, active[r]);
-      }
-    } else {
-      for (std::size_t g = 0; g + 8 <= W; g += 8) {
-        std::size_t most = 0;
-        for (std::size_t j = 0; j < 8; ++j) {
-          most = std::max(most, active[g + j]);
-        }
-        const std::size_t stop =
-            most > 0 ? (compact_ ? execute_group_simd<true>(g, 0, active)
-                                 : execute_group_simd<false>(g, 0, active))
-                     : 0;
-        for (std::size_t j = 0; j < 8; ++j) {
-          done[g + j] = std::min(stop, active[g + j]);
-        }
-        if (!arena_ok_) break;
-      }
+  // EXECUTE: a width-16 band runs its two groups interleaved through
+  // one tick loop, a single group alone; lanes whose quota ends early
+  // are masked off tick by tick. Either walk returns the tick it
+  // stopped at: the block's end, or one past the tick whose drift
+  // rebuild declined the arena.
+  const std::size_t stop =
+      G == 16 ? (compact_ ? execute_pair_simd<true>(0, active)
+                          : execute_pair_simd<false>(0, active))
+              : (compact_ ? execute_group_simd<true>(0, 0, active)
+                          : execute_group_simd<false>(0, 0, active));
+  for (std::size_t r = 0; r < G; ++r) done[r] = std::min(stop, active[r]);
+  if (!arena_ok_) {
+    // The block was decoded ahead of its execution, so each stream ran
+    // past the ticks its lane executed. Rewind it and re-draw exactly
+    // those ticks' words, Lemire spills included, so the lane's
+    // pipeline resumes on the very next draw. The re-draw re-reads
+    // words the decode already counted, so it adds nothing to the
+    // tallies, and the discarded ticks' refill words leave them (their
+    // rare Lemire spills stay counted, and the pipeline counts them
+    // again).
+    const std::uint64_t tail = stats_.tail_words;
+    for (std::size_t r = 0; r < G; ++r) {
+      chains_[r]->rng_.set_state(snap[r]);
+      decode_lane(r, 0, done[r]);
+      stats_.refill_words -= 3 * active[r];
     }
+    stats_.tail_words = tail;
   }
-  for (std::size_t r = 0; r < W; ++r) {
-    std::size_t from = done[r];
-    if (from >= active[r]) continue;
-    if (arena_ok_) {
-      from = compact_ ? execute_lane<kPathCompact>(r, from, active[r])
-                      : execute_lane<kPathWide>(r, from, active[r]);
-    }
-    if (from < active[r]) {
-      // The FlatMap walk reads the lane's index: bring it up to date
-      // with whatever the arena walks applied first.
-      stats_.reindexes += chains_[r]->sys_.reindex();
-      execute_lane<kPathFlat>(r, from, active[r]);
-    }
-  }
-  flush_counters(active);
+  flush_counters(done);
 }
 
 void ReplicaBand::decode_lane(std::size_t r, std::size_t from,
@@ -730,154 +697,6 @@ void ReplicaBand::decode_lane(std::size_t r, std::size_t from,
   stats_.tail_words += tail;
 }
 
-template <int kPath>
-std::size_t ReplicaBand::execute_lane(std::size_t r, std::size_t from,
-                                      std::size_t to) {
-  constexpr bool kArena = kPath != kPathFlat;
-  using Cell =
-      std::conditional_t<kPath == kPathCompact, std::uint16_t, std::uint32_t>;
-  constexpr std::uint32_t kCellIdxMask = cell::kIndexMask<Cell>;
-  constexpr int kNibShift = cell::kNibbleShift<Cell>;
-  SeparationChain& chain = *chains_[r];
-  system::ParticleSystem& sys = chain.sys_;
-  const Params params = chain.params_;
-  const double* const pow_l = chain.pow_lambda_ + SeparationChain::kMaxExp;
-  const double* const pow_g = chain.pow_gamma_ + SeparationChain::kMaxExp;
-  LaneCounts& c = lane_counts_[r];
-  const std::size_t W = width();
-  Cell* cells = nullptr;
-  if constexpr (kPath == kPathCompact) {
-    cells = reinterpret_cast<Cell*>(cells16_.data());
-  } else if constexpr (kPath == kPathWide) {
-    cells = reinterpret_cast<Cell*>(cells_.data());
-  }
-  std::size_t stop = to;
-
-  for (std::size_t t = from; t < to; ++t) {
-    const auto pi = static_cast<ParticleIndex>(pi_[t * W + r]);
-    const int dir = static_cast<int>(dir_[t * W + r]);
-    const double q = util::decode_uniform_open(q_[t * W + r]);
-    const Node l = sys.position(pi);
-    std::size_t soa = 0;
-    std::uint32_t pc = 0;
-    std::int64_t base = 0;
-    std::int64_t lp_cell = 0;
-
-    NeighborhoodView nb;
-    if constexpr (kArena) {
-      soa = static_cast<std::size_t>(pi) * W + r;
-      pc = static_cast<std::uint32_t>(pcell_[soa]);
-      base = pc & kIdxMask;
-      lp_cell = base + lp_off_[static_cast<std::size_t>(dir)];
-      unsigned occ = 1u << NeighborhoodGather::kNodeL;
-      std::uint64_t nib = 0;
-      for (std::size_t k = 0; k < 8; ++k) {
-        const std::uint32_t cl =
-            cells[base + ring_off_[k][static_cast<std::size_t>(dir)]];
-        occ |= static_cast<unsigned>(cl != 0) << k;
-        nib ^= static_cast<std::uint64_t>(cl >> kNibShift) << (4 * k);
-      }
-      const std::uint32_t lpc = cells[lp_cell];
-      occ |= static_cast<unsigned>(lpc != 0) << NeighborhoodGather::kNodeLp;
-      nib ^= static_cast<std::uint64_t>(lpc >> kNibShift) << 36;
-      nib ^= static_cast<std::uint64_t>(pc >> 28) << 32;
-      nb.occ = static_cast<std::uint16_t>(occ);
-      nb.color_nibbles ^= nib;
-      nb.p_at_l = pi;
-      nb.p_at_lp = static_cast<ParticleIndex>(lpc & kCellIdxMask) - 1;
-    } else {
-      nb = NeighborhoodView::gather(sys, l, dir, pi);
-    }
-
-    if (!nb.lp_occupied()) {
-      ++c.move_proposals;
-      const Color ci = sys.color(pi);
-      const int e = nb.e();
-      if (e == 5) {
-        ++c.rejected_five;
-        continue;
-      }
-      if (!nb.move_locality_ok()) {
-        ++c.rejected_locality;
-        continue;
-      }
-      const int ei = nb.e_i(ci);
-      const int ep = nb.e_prime();
-      const int epi = nb.e_prime_i(ci);
-      if (q >= pow_l[ep - e] * pow_g[epi - ei]) {
-        ++c.rejected_metropolis;
-        continue;
-      }
-      const Node dst = lattice::neighbor(l, dir);
-      ++c.moves_accepted;
-      if constexpr (kArena) {
-        sys.apply_move_unchecked(pi, dst, ep - e, (ep - epi) - (e - ei));
-        cells[lp_cell] = cells[base];
-        cells[base] = 0;
-        pcell_[soa] = static_cast<std::int32_t>(
-            (pc & ~kIdxMask) | static_cast<std::uint32_t>(lp_cell));
-        if (dst.x - x0_[r] < kArenaSlack ||
-            x0_[r] + w_ - 1 - dst.x < kArenaSlack ||
-            dst.y - y0_[r] < kArenaSlack ||
-            y0_[r] + h_ - 1 - dst.y < kArenaSlack) {
-          rebuild_arena();
-          // A footprint crossing the layout threshold flips compact_
-          // out from under this walk's cell width; decline the arena so
-          // the lane finishes FlatMap and the next run() entry rebuilds
-          // into the fresh layout.
-          if (arena_ok_ && compact_ != (kPath == kPathCompact)) {
-            arena_ok_ = false;
-          }
-          if (!arena_ok_) {
-            stop = t + 1;
-            break;
-          }
-          cells = reinterpret_cast<Cell*>(kPath == kPathCompact
-                                              ? static_cast<void*>(
-                                                    cells16_.data())
-                                              : static_cast<void*>(
-                                                    cells_.data()));
-        }
-      } else {
-        // The FlatMap walk reads the index it mutates, so it applies
-        // through the delta-fed checked overload, which keeps it current.
-        sys.apply_move(pi, dst, ep - e, (ep - epi) - (e - ei));
-      }
-      continue;
-    }
-
-    if (!params.swaps_enabled) continue;
-    ++c.swap_proposals;
-    const int sx = nb.swap_exponent();
-    if (q >= pow_g[sx]) continue;
-    const ParticleIndex qj = nb.p_at_lp;
-    ++c.swaps_accepted;
-    if constexpr (kArena) {
-      sys.apply_swap_unchecked(pi, qj, -sx);
-      const std::uint32_t a = cells[base];
-      const std::uint32_t b = cells[lp_cell];
-      const std::uint32_t mask =
-          ((a ^ b) >> kNibShift) != 0 ? ~std::uint32_t{0} : 0;
-      cells[base] = static_cast<Cell>(a ^ ((a ^ b) & mask));
-      cells[lp_cell] = static_cast<Cell>(b ^ ((a ^ b) & mask));
-      if (mask != 0) {
-        // Different colors: the particles exchanged cells; each keeps
-        // its own color nibble, only the address parts swap.
-        const std::size_t sj = static_cast<std::size_t>(qj) * W + r;
-        const auto pcj = static_cast<std::uint32_t>(pcell_[sj]);
-        pcell_[soa] = static_cast<std::int32_t>((pc & ~kIdxMask) |
-                                                (pcj & kIdxMask));
-        pcell_[sj] = static_cast<std::int32_t>((pcj & ~kIdxMask) |
-                                               (pc & kIdxMask));
-      }
-    } else {
-      sys.apply_swap(pi, qj, -sx);
-    }
-  }
-  stats_.scalar_steps += stop - from;
-  return stop;
-}
-
 template <bool kCompact>
 bool ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
                               const Spill& sp) {
@@ -893,7 +712,7 @@ bool ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
   // rebuild may have re-centered the planes); a declined rebuild
   // finishes the tick's remaining applies without the arena — the
   // decisions are already made — and the caller hands the rest of the
-  // block to the scalar FlatMap sweep, which reindexes first.
+  // block to the lane pipelines.
   for (int m = mm_macc; m != 0; m &= m - 1) {
     const int j = std::countr_zero(static_cast<unsigned>(m));
     const std::size_t r = g8 + static_cast<std::size_t>(j);
@@ -915,17 +734,11 @@ bool ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
     cl[base] = 0;
     pcell_[soa] = static_cast<std::int32_t>(
         (pc & ~kIdxMask) | static_cast<std::uint32_t>(lp_cell));
-    if (dst.x - x0_[r] < kArenaSlack ||
-        x0_[r] + w_ - 1 - dst.x < kArenaSlack ||
-        dst.y - y0_[r] < kArenaSlack ||
-        y0_[r] + h_ - 1 - dst.y < kArenaSlack) {
+    if (dst.x - x0_[r] < cell::kSlack ||
+        x0_[r] + w_ - 1 - dst.x < cell::kSlack ||
+        dst.y - y0_[r] < cell::kSlack ||
+        y0_[r] + h_ - 1 - dst.y < cell::kSlack) {
       rebuild_arena();
-      // The re-derived footprint can cross the layout threshold, but
-      // this walk is compiled for the other cell width (and the other
-      // store was just emptied): treat the flip as a declined arena so
-      // the block finishes on the FlatMap path and the next run() entry
-      // re-enters through the fresh layout.
-      if (arena_ok_ && compact_ != kCompact) arena_ok_ = false;
     }
   }
   for (int m = mm_sacc; m != 0; m &= m - 1) {
@@ -972,11 +785,11 @@ bool ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
   return arena_ok_;
 }
 
-void ReplicaBand::flush_counters(const std::size_t* active) {
-  for (std::size_t r = 0; r < width(); ++r) {
+void ReplicaBand::flush_counters(const std::size_t* done) {
+  for (std::size_t r = 0; r < group_lanes_; ++r) {
     SeparationChain::Counters& out = chains_[r]->counters_;
     LaneCounts& c = lane_counts_[r];
-    out.steps += active[r];
+    out.steps += done[r];
     out.move_proposals += c.move_proposals;
     out.moves_accepted += c.moves_accepted;
     out.rejected_five += c.rejected_five;
@@ -1341,8 +1154,7 @@ template <bool kCompact>
 std::size_t ReplicaBand::execute_group_simd(std::size_t, std::size_t from,
                                             const std::size_t*) {
   // Unreachable: simd_ can never be true off x86-64 (auto_simd() is
-  // false and Mode::kSimd throws). Report no progress so the scalar
-  // sweep covers everything if it is ever called anyway.
+  // false), so no lane ever reaches a SIMD group.
   return from;
 }
 

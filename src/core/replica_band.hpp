@@ -16,8 +16,8 @@
 //    The decode is bit-exact: a lane whose word would take the (once
 //    per ~2^40 draws) rejection branch is detected and replayed on the
 //    scalar util::lemire_below path from its pre-block state, so word
-//    consumption stays identical to serial step(). Ragged lanes and
-//    partial groups decode scalar (Rng::fill + lemire_below) as well.
+//    consumption stays identical to serial step(). Ragged lane tails
+//    decode scalar (Rng::fill + lemire_below) as well.
 //    Proposals land in lane-transposed arrays (tick-major, lane-minor)
 //    so one tick's band of proposals is a contiguous vector load.
 //  - EXECUTE vectorizes ACROSS lanes. Every replica owns a dense
@@ -38,20 +38,19 @@
 //    *_unchecked mutators the pipeline's mirrored walk uses: they write
 //    positions and edge counts but not the system's FlatMap index.
 //
-// Within run() the arena is the only occupancy structure kept current.
-// Each lane's FlatMap index is rebuilt once at run() exit, and before
-// any FlatMap walk takes a lane over (declined arena, layout flip,
-// box-cap refusal); the FlatMap walk itself applies through the
-// delta-fed checked mutators, which keep the index it reads current.
+// Within run() the arena is the only occupancy structure kept current
+// for the lanes of full groups. Each such lane's FlatMap index is
+// rebuilt once at run() exit.
 //
-// Arena cells use the layouts of cell_codec.hpp, selected per rebuild:
-// the compact 16-bit encoding (index+1 in 12 bits, color nibble at
-// 12..15) whenever n + 1 fits its index field, halving the per-plane
-// footprint so even eight n=1600 planes stay cache-resident; the wide
-// 32-bit encoding (the pipeline mirror's) above n = 4094. Compact
-// cells are gathered pairwise with scale-2 epi32 gathers and widened
-// in-register — one shift normalizes either layout to the same
-// top-nibble form, so the decision kernel is layout-generic.
+// Arena cells use the layouts of cell_codec.hpp, fixed by n at
+// construction: the compact 16-bit encoding (index+1 in 12 bits, color
+// nibble at 12..15) whenever n + 1 fits its index field, halving the
+// per-plane footprint so even eight n=1600 planes stay cache-resident;
+// the wide 32-bit encoding (the pipeline mirror's) above n = 4094. A
+// band's n never changes, so neither does its layout. Compact cells are
+// gathered pairwise with scale-2 epi32 gathers and widened in-register
+// — one shift normalizes either layout to the same top-nibble form, so
+// the decision kernel is layout-generic.
 //
 // Width-16 bands run their two 8-lane groups *interleaved*: each tick
 // issues group B's neighborhood gathers while group A's SWAR/LUT/
@@ -62,10 +61,15 @@
 //
 // Dispatch is runtime: the SIMD path engages only when the CPU reports
 // AVX2, `SOPS_FORCE_SCALAR` is not set, and the arena covers every
-// lane's bounding box economically. Everything else — widths below 8,
-// arena-cap refusals, drift rebuilds that decline mid-run — falls back
-// to per-lane scalar execution over the arena or, failing that, the
-// FlatMap gather path. All paths produce the same bytes.
+// group lane's bounding box economically. Every lane outside a full
+// 8-lane group runs through its own StepPipeline (step_pipeline.hpp),
+// built on first use, for its whole remaining quota: Mode::kScalar and
+// non-AVX2 hosts, the W % 8 remainder lanes, an arena refused at entry,
+// and the rest of a block whose arena a drift rebuild declined mid-walk
+// (the band rewinds each group lane's stream to the block's start and
+// re-draws exactly the ticks it executed before handing over). The
+// pipeline keeps its own mirror and index, so there is one scalar
+// walker. All paths produce the same bytes.
 //
 // The contract, pinned by tests/replica_band_test.cpp: after
 // ReplicaBand::run, every bound chain is byte-identical to a twin
@@ -75,11 +79,13 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "src/core/cell_codec.hpp"
 #include "src/core/markov_chain.hpp"
+#include "src/core/step_pipeline.hpp"
 
 // Member templates need the target attribute on their in-class
 // declaration: GCC resolves a template's target at instantiation from
@@ -103,19 +109,22 @@ class ReplicaBand {
 
   /// Execution-path selection. kAuto resolves to SIMD when the CPU
   /// supports AVX2 and the SOPS_FORCE_SCALAR environment variable is
-  /// unset; kScalar forces the per-lane fallback (CI exercises it
-  /// explicitly); kSimd demands AVX2 and throws without it.
-  enum class Mode { kAuto, kScalar, kSimd };
+  /// unset; kScalar runs every lane through its pipeline (CI exercises
+  /// it explicitly).
+  enum class Mode { kAuto, kScalar };
 
   /// Telemetry only; never feeds back into any trajectory. Surfaced as
   /// benchmark counters by BM_ReplicaBand (simd_fraction = simd_steps /
   /// (simd_steps + scalar_steps) is the SIMD-coverage gate CI checks).
+  /// The lane pipelines' refill_words, tail_words and reindexes are
+  /// folded in, so simd_steps + scalar_steps and refill_words cover
+  /// every step of both tiers.
   struct Stats {
-    std::uint64_t blocks = 0;        ///< decode/execute blocks
+    std::uint64_t blocks = 0;        ///< SIMD-group decode/execute blocks
     std::uint64_t refill_words = 0;  ///< bulk-refilled raw words
     std::uint64_t tail_words = 0;    ///< Lemire-rejection spill draws
     std::uint64_t simd_steps = 0;    ///< steps executed on the SIMD path
-    std::uint64_t scalar_steps = 0;  ///< steps executed on scalar paths
+    std::uint64_t scalar_steps = 0;  ///< steps run by the lane pipelines
     std::uint64_t arena_rebuilds = 0;///< arena (re)builds
     std::uint64_t reindexes = 0;     ///< lane occupancy-index repairs
   };
@@ -134,13 +143,12 @@ class ReplicaBand {
   void run(std::uint64_t iterations);
 
   /// Per-lane step quotas (size() == width()): lane r advances by
-  /// exactly quotas[r] steps. Lanes whose quota runs out mid-band drop
-  /// to the scalar path for the ragged ticks; the rest stay vectorized.
-  /// This is how the ensemble drives replicas whose measurement
-  /// schedules diverge.
+  /// exactly quotas[r] steps. Lanes whose quota runs out mid-block are
+  /// masked off tick by tick; the rest stay vectorized. This is how the
+  /// ensemble drives replicas whose measurement schedules diverge.
   ///
   /// The arena survives across run() calls: it is rebuilt only when a
-  /// bound chain's step counter moved outside the band (the counter is
+  /// group lane's step counter moved outside the band (the counter is
   /// monotone, so any interleaved serial stepping is detected). The one
   /// blind spot is replacing a chain's state in place at an identical
   /// step count (e.g. restoring a foreign checkpoint into a bound
@@ -159,9 +167,9 @@ class ReplicaBand {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   /// True when the resolved mode can use AVX2 (arena permitting).
   [[nodiscard]] bool simd_enabled() const noexcept { return simd_; }
-  /// True when the current arena uses the compact 16-bit cell layout
-  /// (n <= cell::kCompactIndexMask - 1 at the last rebuild). Exposed so
-  /// the layout-boundary tests can pin the selection.
+  /// True when an arena is live and uses the compact 16-bit cell
+  /// layout (n <= cell::kCompactIndexMask - 1). Exposed so the
+  /// layout-boundary tests can pin the selection.
   [[nodiscard]] bool arena_compact() const noexcept {
     return arena_ok_ && compact_;
   }
@@ -177,11 +185,6 @@ class ReplicaBand {
   // shrink under the compact layout.
   static constexpr int kIdxBits = 28;
   static constexpr std::uint32_t kIdxMask = (1u << kIdxBits) - 1;
-  static constexpr std::int64_t kArenaMargin = 8;
-  static constexpr std::int64_t kArenaSlack = 3;
-
-  // Scalar execute paths: FlatMap gather, wide arena, compact arena.
-  enum : int { kPathFlat = 0, kPathWide = 1, kPathCompact = 2 };
 
  public:
   /// Spilled per-tick decision vectors of one 8-lane group, handed from
@@ -198,7 +201,16 @@ class ReplicaBand {
 
  private:
 
-  void run_block(const std::size_t* active, std::size_t max_active);
+  /// Runs one block of the group lanes [0, group_lanes_): `active[r]`
+  /// ticks each, at most `count`. Writes the ticks each lane actually
+  /// executed to `done` — fewer than active[r] only when a drift
+  /// rebuild declined the arena, in which case the lane's RNG stream
+  /// has been rewound to the first unexecuted tick.
+  void run_block(const std::size_t* active, std::size_t* done,
+                 std::size_t count);
+  /// Advances lane `r` by `steps` through its pipeline (built on first
+  /// use) and folds the pipeline's telemetry into stats_.
+  void run_lane(std::size_t r, std::uint64_t steps);
   /// Decodes ticks [from, to) of lane `r` on the scalar path: Rng::fill
   /// bulk refill + the shared util::lemire_below, rejection spills
   /// drawn from the live generator.
@@ -215,12 +227,6 @@ class ReplicaBand {
   /// exact integer op — the produced words, rejection replays, and
   /// post-call RNG states are identical to the AVX2 body's.
   void decode_group_simd512(std::size_t g8, std::size_t ticks);
-  /// Executes decoded ticks [from, to) of lane `r` on the scalar path
-  /// selected by kPath (kPathFlat / kPathWide / kPathCompact). Returns
-  /// `to` normally, or the resume tick when the arena was declined
-  /// mid-walk (arena paths only); the caller re-enters with kPathFlat.
-  template <int kPath>
-  std::size_t execute_lane(std::size_t r, std::size_t from, std::size_t to);
   /// Executes ticks [from, max over the group of active[g8+j]) for the
   /// 8-lane group starting at lane `g8` with AVX2 gathers; lanes whose
   /// active count is below the current tick are masked off. Returns
@@ -245,19 +251,24 @@ class ReplicaBand {
   template <bool kCompact>
   bool apply_group(std::size_t g8, int mm_macc, int mm_sacc, const Spill& sp);
 
-  /// (Re)builds the shared-geometry arena — selecting the compact or
-  /// wide cell layout by n — plus the per-lane position/color SoA and
-  /// the direction offset tables; arena_ok_ = false when any lane's
-  /// bounding box makes the shared plane uneconomical.
+  /// (Re)builds the shared-geometry arena of the group lanes in the
+  /// layout fixed by n, plus their position/color SoA and the direction
+  /// offset tables; arena_ok_ = false when any group lane's bounding
+  /// box makes the shared plane uneconomical.
   void rebuild_arena();
   template <typename Cell>
   void fill_arena(std::vector<Cell>& cells, std::int64_t plane);
-  void flush_counters(const std::size_t* active);
+  void flush_counters(const std::size_t* done);
 
   std::vector<SeparationChain*> chains_;
   std::size_t block_size_;
   bool simd_ = false;
   bool decode512_ = false;  ///< AVX-512 decode kernel engaged
+  bool compact_ = false;    ///< 16-bit cell layout (fixed by n)
+  /// Lanes in full 8-lane SIMD groups (0, 8 or 16); the rest, and all
+  /// of them whenever the arena is down, run through pipes_.
+  std::size_t group_lanes_ = 0;
+  std::vector<std::unique_ptr<StepPipeline>> pipes_;
 
   // Decoded proposals, tick-major and lane-minor: tick t of lane r
   // lives at [t * width + r], so one tick is one contiguous band. q_
@@ -272,17 +283,16 @@ class ReplicaBand {
   // Arena: one dense mirror plane of w_*h_ cells per lane, planes
   // consecutive. Lane r's cell for axial (x, y) sits at
   // gbase_[r] + y*w_ + x — the per-lane origin is folded into gbase_,
-  // so a particle's whole arena address is one int32. Exactly one of
-  // cells_/cells16_ is live per rebuild (compact_ selects; cells16_
-  // carries two cells of tail padding so the scale-2 pair gathers of
-  // the SIMD path never read past the allocation).
+  // so a particle's whole arena address is one int32. Only the store of
+  // the band's layout is ever filled (cells16_ carries two cells of
+  // tail padding so the scale-2 pair gathers of the SIMD path never
+  // read past the allocation).
   std::vector<std::uint32_t> cells_;
   std::vector<std::uint16_t> cells16_;
   std::vector<std::int64_t> gbase_;
   std::vector<std::int64_t> x0_, y0_;  ///< per-lane box origins
   std::int64_t w_ = 0, h_ = 0;         ///< shared plane extent
   bool arena_ok_ = false;
-  bool compact_ = false;               ///< 16-bit cell layout selected
 
   // Packed particle SoA, lane-minor like the proposals: particle i of
   // lane r at [i * width + r] holds (arena cell index | nibble << 28),
@@ -311,22 +321,11 @@ class ReplicaBand {
   static constexpr int kWtabStride = 32;
   alignas(64) std::int64_t itab_[11 * kWtabStride] = {};
 
-  // Wide-layout arena bytes (plane · W · 4) above which rebuild_arena
-  // picks the compact cell layout when n also fits its 12-bit index
-  // field. Below this the planes are cache-resident either way and the
-  // compact path's scale-2 pair gathers (a ~3% cacheline-split rate 32-
-  // bit reads at 16-bit alignment) cost more than halving the
-  // footprint buys; above it the halved planes relieve L1/L2 pressure.
-  // SOPS_BAND_COMPACT=0/1 overrides the policy (tests pin both layouts
-  // at the same n with it).
-  static constexpr std::int64_t kCompactSelectBytes = 192 * 1024;
-
   // Arena reuse across run() calls: the per-lane step counters at last
   // sync. A mismatch on entry means the chain advanced outside the
   // band, so the mirror is stale and run() rebuilds.
   std::array<std::uint64_t, kMaxWidth> synced_steps_{};
   bool arena_synced_ = false;
-  int layout_override_ = -1;  ///< SOPS_BAND_COMPACT: -1 policy, 0/1 forced
 
   // Per-lane counter accumulators, flushed per block.
   struct LaneCounts {

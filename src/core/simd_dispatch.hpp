@@ -22,16 +22,6 @@ namespace sops::core::detail {
 #endif
 }
 
-/// CPU capability alone (Mode::kSimd requests that ignore the env
-/// override still need the hardware).
-[[nodiscard]] inline bool cpu_has_avx2() noexcept {
-#if defined(__x86_64__) || defined(_M_X64)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
 /// AVX-512 Foundation: gates the band's 8-lane-wide decode kernel
 /// (zmm xoshiro states, vprolq, vpmovqd). Integer-exact, so engaging
 /// it never changes any byte — only how fast the words are produced.

@@ -54,7 +54,7 @@ void StepPipeline::rebuild_mirror() {
   mirror_ok_ = false;
   const system::ParticleSystem& sys = chain_.sys_;
   const std::size_t n = sys.size();
-  if (n == 0 || n + 1 > kPMask) return;  // index+1 must fit the cell encoding
+  if (n == 0 || n + 1 > cell::kWideIndexMask) return;  // index+1 must fit
 
   std::int64_t xmin = std::numeric_limits<std::int64_t>::max();
   std::int64_t xmax = std::numeric_limits<std::int64_t>::min();
@@ -67,26 +67,20 @@ void StepPipeline::rebuild_mirror() {
     ymin = std::min<std::int64_t>(ymin, v.y);
     ymax = std::max<std::int64_t>(ymax, v.y);
   }
-  const std::int64_t w = (xmax - xmin + 1) + 2 * kMirrorMargin;
-  const std::int64_t h = (ymax - ymin + 1) + 2 * kMirrorMargin;
-  // Connected blobs have bounding boxes of O(n^2) cells at the very
-  // worst (a zig-zag path); outliers in pathological disconnected
-  // systems can blow the box up arbitrarily, so refuse to mirror those
-  // and let the FlatMap fallback path handle them.
-  const std::int64_t cap = std::max<std::int64_t>(
-      std::int64_t{1} << 20, 32 * static_cast<std::int64_t>(n));
-  if (w * h > cap) return;
+  const std::int64_t w = (xmax - xmin + 1) + 2 * cell::kMargin;
+  const std::int64_t h = (ymax - ymin + 1) + 2 * cell::kMargin;
+  if (w * h > cell::plane_cap(n)) return;  // FlatMap path instead
 
-  x0_ = xmin - kMirrorMargin;
-  y0_ = ymin - kMirrorMargin;
+  x0_ = xmin - cell::kMargin;
+  y0_ = ymin - cell::kMargin;
   w_ = w;
   h_ = h;
   cells_.assign(static_cast<std::size_t>(w * h), 0);
   for (std::size_t i = 0; i < n; ++i) {
     const auto pi = static_cast<ParticleIndex>(i);
-    const std::uint32_t nibble = sys.color(pi) ^ 0xFu;
     cells_[static_cast<std::size_t>(mirror_index(sys.position(pi)))] =
-        (static_cast<std::uint32_t>(i) + 1) | (nibble << 28);
+        cell::encode<std::uint32_t>(static_cast<std::uint32_t>(i),
+                                    sys.color(pi));
   }
   for (int d = 0; d < 6; ++d) {
     const auto off = [&](Node v) {
@@ -174,7 +168,7 @@ SOPS_PIPE_AVX2_FN void StepPipeline::spec_gather8(std::size_t i0,
         _mm256_add_epi32(vocc, vocc),
         _mm256_add_epi32(vone, _mm256_cmpeq_epi32(vc, vzero)));
     vnib = _mm256_or_si256(_mm256_slli_epi32(vnib, 4),
-                           _mm256_srli_epi32(vc, 28));
+                           _mm256_srli_epi32(vc, cell::kWideNibbleShift));
   }
   vocc = _mm256_or_si256(vocc,
                          _mm256_set1_epi32(1 << NeighborhoodGather::kNodeL));
@@ -309,10 +303,12 @@ std::size_t StepPipeline::execute_block(std::size_t begin, std::size_t count) {
           nb.occ = static_cast<std::uint16_t>(spec_occ_[i]);
           nb.color_nibbles ^=
               static_cast<std::uint64_t>(spec_nib_[i]) |
-              (static_cast<std::uint64_t>(lpc >> 28) << 36) |
+              (static_cast<std::uint64_t>(lpc >> cell::kWideNibbleShift)
+               << 36) |
               (static_cast<std::uint64_t>(sys.color(pr.pi) ^ 0xFu) << 32);
           nb.p_at_l = pr.pi;
-          nb.p_at_lp = static_cast<ParticleIndex>(lpc & kPMask) - 1;
+          nb.p_at_lp =
+              static_cast<ParticleIndex>(lpc & cell::kWideIndexMask) - 1;
           assembled = true;
           ++stats_.speculative_hits;
         } else {
@@ -354,18 +350,19 @@ std::size_t StepPipeline::execute_block(std::size_t begin, std::size_t count) {
         unsigned occ = 1u << NeighborhoodGather::kNodeL;
         std::uint64_t nib = 0;
         for (std::size_t k = 0; k < 8; ++k) {
-          const std::uint32_t cell = cells[base + roff[k]];
-          occ |= static_cast<unsigned>(cell != 0) << k;
-          nib ^= static_cast<std::uint64_t>(cell >> 28) << (4 * k);
+          const std::uint32_t cl = cells[base + roff[k]];
+          occ |= static_cast<unsigned>(cl != 0) << k;
+          nib ^= static_cast<std::uint64_t>(cl >> cell::kWideNibbleShift)
+                 << (4 * k);
         }
         const std::uint32_t lpc = cells[lp_cell];
         occ |= static_cast<unsigned>(lpc != 0) << NeighborhoodGather::kNodeLp;
-        nib ^= static_cast<std::uint64_t>(lpc >> 28) << 36;
+        nib ^= static_cast<std::uint64_t>(lpc >> cell::kWideNibbleShift) << 36;
         nib ^= static_cast<std::uint64_t>(sys.color(pr.pi) ^ 0xFu) << 32;
         nb.occ = static_cast<std::uint16_t>(occ);
         nb.color_nibbles ^= nib;
         nb.p_at_l = pr.pi;
-        nb.p_at_lp = static_cast<ParticleIndex>(lpc & kPMask) - 1;
+        nb.p_at_lp = static_cast<ParticleIndex>(lpc & cell::kWideIndexMask) - 1;
       } else {
         nb = NeighborhoodView::gather(sys, l, dir, pr.pi);
       }
@@ -400,12 +397,12 @@ std::size_t StepPipeline::execute_block(std::size_t begin, std::size_t count) {
         sys.apply_move_unchecked(pr.pi, to, ep - e, (ep - epi) - (e - ei));
         cells[lp_cell] = cells[base];
         cells[base] = 0;
-        // Keep every particle at least kMirrorSlack (> the gather's
+        // Keep every particle at least cell::kSlack (> the gather's
         // 2-cell reach) away from the box edge: re-center the box when a
         // move drifts into the guard band. A declined rebuild (box cap)
         // hands the rest of the block to the FlatMap walk.
-        if (to.x - x0_ < kMirrorSlack || x0_ + w_ - 1 - to.x < kMirrorSlack ||
-            to.y - y0_ < kMirrorSlack || y0_ + h_ - 1 - to.y < kMirrorSlack) {
+        if (to.x - x0_ < cell::kSlack || x0_ + w_ - 1 - to.x < cell::kSlack ||
+            to.y - y0_ < cell::kSlack || y0_ + h_ - 1 - to.y < cell::kSlack) {
           rebuild_mirror();
           if (!mirror_ok_) {
             done = i + 1;
@@ -439,7 +436,8 @@ std::size_t StepPipeline::execute_block(std::size_t begin, std::size_t count) {
       sys.apply_swap_unchecked(pr.pi, nb.p_at_lp, -sx);
       const std::uint32_t a = cells[base];
       const std::uint32_t b = cells[lp_cell];
-      const std::uint32_t mask = ((a ^ b) >> 28) != 0 ? ~std::uint32_t{0} : 0;
+      const std::uint32_t mask =
+          ((a ^ b) >> cell::kWideNibbleShift) != 0 ? ~std::uint32_t{0} : 0;
       cells[base] = a ^ ((a ^ b) & mask);
       cells[lp_cell] = b ^ ((a ^ b) & mask);
     } else {

@@ -38,23 +38,24 @@
 //     accumulate in locals and flush once per block.
 //
 // The execute phase reads occupancy through a pipeline-private *dense
-// mirror* of the occupancy table: a bounding-box grid of 32-bit cells,
-// each `(particle index + 1) | ((color ^ 0xF) << 28)` (0 = empty), so
-// one gather is ten direct array loads assembled branch-free into a
+// mirror* of the occupancy table: a bounding-box grid of 32-bit cells
+// in the wide layout of cell_codec.hpp (0 = empty), so one gather is
+// ten direct array loads assembled branch-free into a
 // NeighborhoodGather — no hash probe chains, no data-dependent
-// branches. The mirror is built from the particle system at every
-// run() entry (the system may have been stepped externally between
-// calls) and rebuilt with fresh margin when a move drifts near the box
-// edge. Within a run it is the only occupancy structure kept current:
-// accepted moves/swaps go through the system's *_unchecked mutators,
-// which update positions and edge counts but leave the FlatMap index
-// stale, and run() rebuilds the index once on exit. Systems the mirror
-// cannot cover economically (disconnected outliers blowing up the
-// bounding box) fall back to the FlatMap gather path with
-// occupancy-line prefetch hints, after a reindex and applying through
-// the delta-fed checked mutators — same trajectory, fewer tricks. step() itself
-// keeps the plain FlatMap path: it is the reference twin the pipeline
-// is tested against, not the production driver.
+// branches. The mirror is built from the particle system at every run()
+// entry (the system may have been stepped externally between calls) and
+// rebuilt with fresh margin when a move drifts near the box edge (the
+// box rule of cell_codec.hpp). Within a run it is the only occupancy
+// structure kept current: accepted moves/swaps go through the system's
+// *_unchecked mutators, which update positions and edge counts but
+// leave the FlatMap index stale, and run() rebuilds the index once on
+// exit. Systems the mirror cannot cover economically (disconnected
+// outliers blowing up the bounding box) fall back to the FlatMap gather
+// path with occupancy-line prefetch hints, after a reindex and applying
+// through the delta-fed checked mutators — same trajectory, fewer
+// tricks. step() itself keeps the plain FlatMap path: it is the
+// reference twin the pipeline is tested against, not the production
+// driver.
 //
 // The contract, pinned by tests/step_pipeline_test.cpp at every block
 // size and segment split: a trajectory driven by StepPipeline::run is
@@ -66,6 +67,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/core/cell_codec.hpp"
 #include "src/core/markov_chain.hpp"
 
 // The window gather is compiled for AVX2 behind runtime dispatch; the
@@ -118,19 +120,6 @@ class StepPipeline {
   [[nodiscard]] std::size_t block_size() const noexcept { return block_size_; }
 
  private:
-  // Mirror-cell encoding: low kPBits bits hold particle index + 1 (so
-  // `(cell & kPMask) - 1` is the particle index, and evaluates to
-  // kNoParticle == -1 on an empty cell with no branch); the top nibble
-  // holds color ^ 0xF, exactly the XOR mask NeighborhoodGather applies
-  // to its all-0xF default nibbles (0 for an empty cell).
-  static constexpr int kPBits = 24;
-  static constexpr std::uint32_t kPMask = (1u << kPBits) - 1;
-  /// Padding around the particles' bounding box at rebuild time.
-  static constexpr std::int64_t kMirrorMargin = 8;
-  /// A move landing closer than this to the box edge triggers a
-  /// rebuild; must stay > 2 (gather probes reach 2 cells from l).
-  static constexpr std::int64_t kMirrorSlack = 3;
-
   /// One decoded proposal plus the speculative position snapshot taken
   /// during the execute walk.
   struct Proposal {

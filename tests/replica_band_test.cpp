@@ -2,10 +2,10 @@
 // ReplicaBand must leave every lane byte-identical to a twin advanced
 // by the same number of serial step() calls — same positions, colors,
 // edge counts, all eight counters, and post-run RNG state — at every
-// width, on every execution path (SIMD groups, scalar-over-arena,
-// FlatMap fallback), through ragged per-lane quotas, and across arena
-// re-centers. This is the contract that lets the ensemble group sweep
-// replicas into bands.
+// width, on every execution path (SIMD groups, lane pipelines over
+// their mirrors or the FlatMap), through ragged per-lane quotas, and
+// across arena re-centers and mid-run arena declines. This is the
+// contract that lets the ensemble group sweep replicas into bands.
 #include "src/core/replica_band.hpp"
 
 #include <gtest/gtest.h>
@@ -107,10 +107,11 @@ void expect_rng_in_sync(SeparationChain& a, SeparationChain& b,
   expect_same_state(a, b, what + " post-run trajectory");
 }
 
+// Widths 9 and 12 put one SIMD group and pipeline-run lanes in one band.
 TEST(ReplicaBand, MatchesStepTwinsAtEveryWidth) {
-  for (const std::size_t width : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{4}, std::size_t{8},
-                                  std::size_t{16}}) {
+  for (const std::size_t width :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8},
+        std::size_t{9}, std::size_t{12}, std::size_t{16}}) {
     auto banded = make_replicas(width, 120, 2, Params{4.0, 4.0, true}, 11);
     auto serial = make_replicas(width, 120, 2, Params{4.0, 4.0, true}, 11);
     auto ptrs = pointers(banded);
@@ -226,26 +227,36 @@ TEST(ReplicaBand, SegmentsAndExternalStepsAreAbsorbed) {
 
 // Free blobs (λ = γ = 1) diffuse; drifting into a lane's guard band
 // must re-center the shared arena mid-band without perturbing any
-// lane's trajectory.
+// lane's trajectory — for one SIMD group and for the width-16
+// interleaved pair, whose re-centers land between the two groups'
+// applies.
 TEST(ReplicaBand, DriftRecentersTheArenaInsideABand) {
-  auto banded = make_replicas(8, 40, 2, Params{1.0, 1.0, true}, 41);
-  auto serial = make_replicas(8, 40, 2, Params{1.0, 1.0, true}, 41);
-  auto ptrs = pointers(banded);
-  ReplicaBand band(ptrs);
-  band.run(150000);
-  // At least the entry rebuild plus one drift re-center.
-  EXPECT_GE(band.stats().arena_rebuilds, 2u);
-  for (std::size_t r = 0; r < 8; ++r) {
-    for (int i = 0; i < 150000; ++i) serial[r].step();
-    const std::string what = "drift lane " + std::to_string(r);
-    expect_same_state(serial[r], banded[r], what);
-    expect_rng_in_sync(serial[r], banded[r], what);
+  for (const std::size_t width : {std::size_t{8}, std::size_t{16}}) {
+    auto banded = make_replicas(width, 40, 2, Params{1.0, 1.0, true}, 41);
+    auto serial = make_replicas(width, 40, 2, Params{1.0, 1.0, true}, 41);
+    auto ptrs = pointers(banded);
+    ReplicaBand band(ptrs);
+    band.run(150000);
+    // At least the entry rebuild plus one drift re-center; forced-scalar
+    // bands build no arena.
+    if (band.simd_enabled()) {
+      EXPECT_GE(band.stats().arena_rebuilds, 2u);
+    }
+    for (std::size_t r = 0; r < width; ++r) {
+      for (int i = 0; i < 150000; ++i) serial[r].step();
+      const std::string what = "width " + std::to_string(width) +
+                               " drift lane " + std::to_string(r);
+      expect_same_state(serial[r], banded[r], what);
+      expect_rng_in_sync(serial[r], banded[r], what);
+    }
   }
 }
 
 // One lane with a far-away outlier blows up the shared arena extent:
-// the band must decline the arena and run every lane through the
-// FlatMap gather path, still byte-identical to step().
+// the band must decline the arena and hand every lane to its pipeline.
+// The outlier lane's pipeline refuses its mirror too and walks the
+// FlatMap from entry; the other seven mirror their own boxes. All stay
+// byte-identical to step().
 TEST(ReplicaBand, OversizedBoundingBoxFallsBackToFlatMapGather) {
   const Params params{4.0, 4.0, true};
   std::vector<SeparationChain> banded;
@@ -264,11 +275,26 @@ TEST(ReplicaBand, OversizedBoundingBoxFallsBackToFlatMapGather) {
   }
   auto ptrs = pointers(banded);
   ReplicaBand band(ptrs);
+  std::vector<std::uint64_t> lookups;
+  for (const SeparationChain& c : banded) {
+    lookups.push_back(c.system().occupancy_lookups());
+  }
   band.run(20000);
   EXPECT_EQ(band.stats().arena_rebuilds, 0u);
   EXPECT_EQ(band.stats().simd_steps, 0u);
-  // The FlatMap walk keeps the index current itself: nothing to rebuild.
-  EXPECT_EQ(band.stats().reindexes, 0u);
+  // Only the outlier lane probes the FlatMap index, and its walk keeps
+  // the index current itself; each mirrored lane rebuilds its index
+  // once, at exit.
+  for (std::size_t r = 0; r < 8; ++r) {
+    const std::uint64_t probes =
+        banded[r].system().occupancy_lookups() - lookups[r];
+    if (r == 3) {
+      EXPECT_GT(probes, 0u) << "outlier lane did not walk the FlatMap";
+    } else {
+      EXPECT_EQ(probes, 0u) << "lane " << r << " did not walk its mirror";
+    }
+  }
+  EXPECT_EQ(band.stats().reindexes, 7u);
   for (std::size_t r = 0; r < 8; ++r) {
     for (int i = 0; i < 20000; ++i) serial[r].step();
     const std::string what = "outlier lane " + std::to_string(r);
@@ -281,9 +307,12 @@ TEST(ReplicaBand, OversizedBoundingBoxFallsBackToFlatMapGather) {
 // shared plane sits just under its cell cap. The dimers roll freely
 // (each of their moves keeps one neighbor), and once one drifts into
 // its guard band the re-centered plane no longer fits: the arena is
-// declined mid-run, after the arena walks have already deferred index
-// updates on every lane, and the FlatMap walk must take each lane over
-// from a rebuilt index without perturbing a byte.
+// declined mid-block, after the arena walks have already deferred index
+// updates on every lane. Each lane's stream is rewound to the ticks it
+// executed and its pipeline must take it over without perturbing a
+// byte. The ragged pass gives even lanes quotas of at most 8 steps and
+// odd lanes quotas above 128, so the decline lands in a block where the
+// lanes executed different tick counts (the even lanes had finished).
 TEST(ReplicaBand, ArenaDeclinedMidRunHandsOverToFlatMap) {
   auto nodes = lattice::compact_blob(60);
   int xmin = nodes[0].x, ymin = nodes[0].y, ymax = nodes[0].y;
@@ -299,39 +328,69 @@ TEST(ReplicaBand, ArenaDeclinedMidRunHandsOverToFlatMap) {
   nodes.push_back(lattice::Node{right - 1, ymin});
   nodes.push_back(lattice::Node{right, ymin});
   const Params params{4.0, 4.0, true};
-  std::vector<SeparationChain> banded;
-  std::vector<SeparationChain> serial;
-  for (std::size_t r = 0; r < 8; ++r) {
-    util::Rng rng(88 + r);
-    const auto colors = balanced_random_colors(nodes.size(), 2, rng);
-    banded.emplace_back(ParticleSystem(nodes, colors), params, 88 + r);
-    serial.emplace_back(ParticleSystem(nodes, colors), params, 88 + r);
-  }
-  auto ptrs = pointers(banded);
-  ReplicaBand band(ptrs);
-  band.run(1);
-  ASSERT_EQ(band.stats().arena_rebuilds, 1u) << "plane over the cap";
-  band.run(200000);
-  // The arena survives across calls, so the next entry rebuilds only
-  // because a mid-run decline dropped it; that rebuild must decline too
-  // (the plane grew past the cap) and leave the count alone.
-  const std::uint64_t rebuilds = band.stats().arena_rebuilds;
-  band.run(1);
-  EXPECT_EQ(band.stats().arena_rebuilds, rebuilds)
-      << "no dimer pushed the plane past the cap";
-  EXPECT_GT(band.stats().reindexes, 0u);
-  for (std::size_t r = 0; r < 8; ++r) {
-    for (int i = 0; i < 200002; ++i) serial[r].step();
-    const std::string what = "mid-run decline lane " + std::to_string(r);
-    expect_same_state(serial[r], banded[r], what);
-    expect_rng_in_sync(serial[r], banded[r], what);
+  for (const bool ragged : {false, true}) {
+    std::vector<SeparationChain> banded;
+    std::vector<SeparationChain> serial;
+    for (std::size_t r = 0; r < 8; ++r) {
+      util::Rng rng(88 + r);
+      const auto colors = balanced_random_colors(nodes.size(), 2, rng);
+      banded.emplace_back(ParticleSystem(nodes, colors), params, 88 + r);
+      serial.emplace_back(ParticleSystem(nodes, colors), params, 88 + r);
+    }
+    auto ptrs = pointers(banded);
+    ReplicaBand band(ptrs);
+    const bool arena = band.simd_enabled();
+    std::vector<std::uint64_t> total(8, 1);
+    band.run(1);
+    if (arena) {
+      ASSERT_EQ(band.stats().arena_rebuilds, 1u) << "plane over the cap";
+    }
+    if (!ragged) {
+      band.run(200000);
+      for (std::uint64_t& t : total) t += 200000;
+    } else {
+      std::uint64_t quotas[8];
+      for (std::uint64_t call = 0; call < 1200; ++call) {
+        for (std::size_t r = 0; r < 8; ++r) {
+          quotas[r] = r % 2 == 0 ? 1 + (call + r) % 8
+                                 : 129 + (7 * call + r) % 128;
+          total[r] += quotas[r];
+        }
+        band.run(std::span<const std::uint64_t>(quotas, 8));
+      }
+    }
+    // The arena survives across calls, so the next entry rebuilds only
+    // because a mid-run decline dropped it; that rebuild must decline
+    // too (the plane grew past the cap) and leave the count alone.
+    const std::uint64_t rebuilds = band.stats().arena_rebuilds;
+    band.run(1);
+    for (std::uint64_t& t : total) t += 1;
+    if (arena) {
+      EXPECT_EQ(band.stats().arena_rebuilds, rebuilds)
+          << "no dimer pushed the plane past the cap";
+    }
+    EXPECT_GT(band.stats().reindexes, 0u);
+    // The rewind re-draws words the decode already counted: the tallies
+    // must still cover each step exactly once across both tiers.
+    std::uint64_t steps = 0;
+    for (const std::uint64_t t : total) steps += t;
+    EXPECT_EQ(band.stats().simd_steps + band.stats().scalar_steps, steps);
+    EXPECT_EQ(band.stats().refill_words, 3 * steps);
+    for (std::size_t r = 0; r < 8; ++r) {
+      for (std::uint64_t i = 0; i < total[r]; ++i) serial[r].step();
+      const std::string what = std::string(ragged ? "ragged " : "") +
+                               "mid-run decline lane " + std::to_string(r);
+      expect_same_state(serial[r], banded[r], what);
+      expect_rng_in_sync(serial[r], banded[r], what);
+    }
   }
 }
 
 // n = 4094 is the last size whose index+1 fits the compact cells'
-// 12-bit field; at this scale the wide footprint is far past the
-// selection threshold, so the rebuild must pick the 16-bit layout —
-// and every lane must still be byte-identical to its serial twin.
+// 12-bit field, so the band must pick the 16-bit layout — and every
+// lane must still be byte-identical to its serial twin. Only SIMD
+// groups build an arena; forced-scalar bands run every lane through its
+// pipeline and report none.
 TEST(ReplicaBand, CompactLayoutAtIndexCapacityMatchesStepTwins) {
   static_assert(cell::kCompactIndexMask == 4095);
   auto banded = make_replicas(8, 4094, 2, Params{4.0, 4.0, true}, 61);
@@ -339,7 +398,7 @@ TEST(ReplicaBand, CompactLayoutAtIndexCapacityMatchesStepTwins) {
   auto ptrs = pointers(banded);
   ReplicaBand band(ptrs);
   band.run(3000);
-  EXPECT_TRUE(band.arena_compact());
+  EXPECT_EQ(band.arena_compact(), band.simd_enabled());
   for (std::size_t r = 0; r < 8; ++r) {
     for (int i = 0; i < 3000; ++i) serial[r].step();
     const std::string what = "compact-boundary lane " + std::to_string(r);
@@ -348,8 +407,8 @@ TEST(ReplicaBand, CompactLayoutAtIndexCapacityMatchesStepTwins) {
   }
 }
 
-// One particle more and index+1 no longer fits 12 bits: the rebuild
-// must fall back to the wide 32-bit layout, same bytes as ever.
+// One particle more and index+1 no longer fits 12 bits: the band must
+// fall back to the wide 32-bit layout, same bytes as ever.
 TEST(ReplicaBand, WideLayoutJustAboveIndexCapacityMatchesStepTwins) {
   auto banded = make_replicas(8, 4095, 2, Params{4.0, 4.0, true}, 67);
   auto serial = make_replicas(8, 4095, 2, Params{4.0, 4.0, true}, 67);
@@ -357,7 +416,7 @@ TEST(ReplicaBand, WideLayoutJustAboveIndexCapacityMatchesStepTwins) {
   ReplicaBand band(ptrs);
   band.run(3000);
   EXPECT_FALSE(band.arena_compact());
-  EXPECT_GE(band.stats().arena_rebuilds, 1u);
+  EXPECT_EQ(band.stats().arena_rebuilds > 0, band.simd_enabled());
   for (std::size_t r = 0; r < 8; ++r) {
     for (int i = 0; i < 3000; ++i) serial[r].step();
     const std::string what = "wide-boundary lane " + std::to_string(r);
@@ -366,15 +425,13 @@ TEST(ReplicaBand, WideLayoutJustAboveIndexCapacityMatchesStepTwins) {
   }
 }
 
-// A staircase blob stretched so the wide footprint starts just above
-// the selection threshold: the entry rebuild picks compact cells, and
-// the free-diffusion (λ = γ = 1) collapse of the line — a staircase is
-// a near-maximal-extent configuration, so entropy shrinks its bounding
-// box — pushes a later drift rebuild back across the byte threshold
-// into the wide layout mid-run. The walk running when the flip lands
-// is compiled for the other cell width, so the band must decline the
-// stale walk and re-enter through the fresh layout — without
-// perturbing a single lane's bytes.
+// A staircase blob is a near-maximal-extent configuration, so the
+// free-diffusion (λ = γ = 1) collapse of the line shrinks its bounding
+// box through many drift rebuilds — across the footprint at which a
+// byte-sized layout policy would flip cell widths mid-walk. The layout
+// is a function of n alone, so every rebuild of this width-16 band
+// (two interleaved SIMD groups) must keep the compact cells it chose at
+// entry, and every lane must stay byte-identical to its serial twin.
 TEST(ReplicaBand, DriftRebuildCrossesTheLayoutSelection) {
   const Params params{1.0, 1.0, true};
   std::vector<lattice::Node> nodes;
@@ -391,22 +448,18 @@ TEST(ReplicaBand, DriftRebuildCrossesTheLayoutSelection) {
   }
   auto ptrs = pointers(banded);
   ReplicaBand band(ptrs);
-  band.run(1);
-  ASSERT_GE(band.stats().arena_rebuilds, 1u);
-  EXPECT_TRUE(band.arena_compact()) << "staircase footprint not above "
-                                       "the selection threshold at entry";
-  std::uint64_t total = 1;
-  while (band.arena_compact() && total < 2000000) {
+  std::uint64_t total = 0;
+  for (int segment = 0; segment < 20; ++segment) {
     band.run(10000);
     total += 10000;
+    ASSERT_EQ(band.arena_compact(), band.simd_enabled())
+        << "layout changed after " << total << " steps";
   }
-  // One more segment so a flip that declined the arena mid-block is
-  // followed by a fresh entry rebuild into the re-selected layout.
-  band.run(1);
-  total += 1;
-  ASSERT_FALSE(band.arena_compact())
-      << "collapse never shrank the footprint across the layout threshold";
-  ASSERT_GE(band.stats().arena_rebuilds, 2u);
+  // The entry rebuild plus drift re-centers; forced-scalar bands build
+  // no arena.
+  if (band.simd_enabled()) {
+    EXPECT_GE(band.stats().arena_rebuilds, 2u);
+  }
   for (std::size_t r = 0; r < 16; ++r) {
     for (std::uint64_t i = 0; i < total; ++i) serial[r].step();
     const std::string what = "layout-crossing lane " + std::to_string(r);
@@ -441,20 +494,25 @@ TEST(ReplicaBand, RejectsIncompatibleBands) {
                std::invalid_argument);
 }
 
+// Width 12 adds four pipeline-run lanes to the SIMD group: their steps
+// and words must land in the same tallies.
 TEST(ReplicaBand, StatsAccountForEveryStep) {
-  auto chains = make_replicas(8, 120, 2, Params{4.0, 4.0, true}, 53);
-  auto ptrs = pointers(chains);
-  ReplicaBand band(ptrs, 128);
-  band.run(10000);
-  const ReplicaBand::Stats& st = band.stats();
-  EXPECT_EQ(st.simd_steps + st.scalar_steps, 8u * 10000u);
-  EXPECT_EQ(st.refill_words, 3u * 8u * 10000u);
-  EXPECT_EQ(st.blocks, (10000u + 127u) / 128u);
-  if (ReplicaBand::auto_simd()) {
-    EXPECT_TRUE(band.simd_enabled());
-    EXPECT_GT(st.simd_steps, 0u);
-  } else {
-    EXPECT_EQ(st.simd_steps, 0u);
+  for (const std::size_t width : {std::size_t{8}, std::size_t{12}}) {
+    auto chains = make_replicas(width, 120, 2, Params{4.0, 4.0, true}, 53);
+    auto ptrs = pointers(chains);
+    ReplicaBand band(ptrs, 128);
+    band.run(10000);
+    const ReplicaBand::Stats& st = band.stats();
+    EXPECT_EQ(st.simd_steps + st.scalar_steps, width * 10000u);
+    EXPECT_EQ(st.refill_words, 3u * width * 10000u);
+    if (ReplicaBand::auto_simd()) {
+      EXPECT_TRUE(band.simd_enabled());
+      EXPECT_EQ(st.simd_steps, 8u * 10000u);
+      // Blocks count the SIMD groups' blocks; pipelines keep their own.
+      EXPECT_EQ(st.blocks, (10000u + 127u) / 128u);
+    } else {
+      EXPECT_EQ(st.simd_steps, 0u);
+    }
   }
 }
 
