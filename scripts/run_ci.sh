@@ -28,7 +28,8 @@
 #                     (the core tier carries the step-pipeline and
 #                     neighborhood equivalence tests; the checkpoint
 #                     tier races snapshot writers across the pool)
-#   SOPS_CI_ASAN      also configure a -DSOPS_SANITIZE=address,undefined
+#   SOPS_CI_ASAN      set to 0 to skip the sanitizer tier, which runs by
+#                     default: configure a -DSOPS_SANITIZE=address,undefined
 #                     tree with assertions on in <build-dir>-asan and run
 #                     ctest -L 'core|checkpoint|shard|service|model', the
 #                     particle-system suite, and the band and pipeline
@@ -113,7 +114,7 @@ if [[ -n ${SOPS_CI_TSAN:-} && ${SOPS_CI_TSAN:-} != 0 ]]; then
     -L 'core|engine|shard|checkpoint|harness|service'
 fi
 
-if [[ -n ${SOPS_CI_ASAN:-} && ${SOPS_CI_ASAN:-} != 0 ]]; then
+if [[ ${SOPS_CI_ASAN:-1} != 0 ]]; then
   echo "== ASan+UBSan tiers (core|checkpoint|shard|service|model under ${build_dir}-asan)"
   # RelWithDebInfo without its -DNDEBUG: optimized enough for the long
   # equivalence suites, with every assert() and the libstdc++ container

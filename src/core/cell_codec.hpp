@@ -30,7 +30,8 @@
 // within kSlack (> the gather's 2-cell reach) of the edge re-centers
 // it, and a plane above plane_cap(n) cells is refused — connected blobs
 // stay far below it, disconnected outliers can blow the box up without
-// bound — leaving the lane to the FlatMap gather path.
+// bound — leaving the lane to SeparationChain::step_with, step()'s own
+// body over the FlatMap.
 #pragma once
 
 #include <algorithm>

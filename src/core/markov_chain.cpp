@@ -92,11 +92,14 @@ SeparationChain::SeparationChain(ParticleSystem sys, Params params,
 }
 
 bool SeparationChain::step() {
-  ++counters_.steps;
   const auto pi = static_cast<ParticleIndex>(rng_.below(sys_.size()));
   const int dir = static_cast<int>(rng_.below(6));
   const double q = rng_.uniform_open();
+  return step_with(pi, dir, q);
+}
 
+bool SeparationChain::step_with(ParticleIndex pi, int dir, double q) {
+  ++counters_.steps;
   const Node l = sys_.position(pi);
   const NeighborhoodView nb = NeighborhoodView::gather(sys_, l, dir, pi);
 

@@ -117,9 +117,18 @@ class SeparationChain {
   // Metropolis pow tables, and flushes block-local counters into
   // counters_. step() stays the single-step reference twin. The
   // replica band (replica_band.hpp) advances whole groups of sibling
-  // chains lock-step under the same contract.
+  // chains lock-step under the same contract. Both hand decoded
+  // proposals to step_with() when their occupancy copy is down.
   friend class StepPipeline;
   friend class ReplicaBand;
+
+  /// The body of step() for an already-drawn proposal: particle `pi`,
+  /// direction `dir`, Metropolis draw `q`. Reads and updates occupancy
+  /// through the FlatMap index, which must be current. The executors
+  /// finish a block through it once their mirror or arena is down, so
+  /// it is the only code that walks the FlatMap.
+  bool step_with(system::ParticleIndex pi, int dir, double q);
+
   [[nodiscard]] double pow_lambda(int k) const noexcept {
     return pow_lambda_[static_cast<std::size_t>(k + kMaxExp)];
   }

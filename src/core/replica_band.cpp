@@ -95,39 +95,6 @@ __attribute__((target("avx2"))) inline __m256i lemire4(__m256i x, __m256i vb,
   return _mm256_srli_epi64(sum, 32);
 }
 
-// xoshiro256++ for all eight lanes at once on zmm registers: the same
-// op-for-op scalar recurrence as xo_next4, with the rotates native
-// (vprolq) instead of shift/shift/or.
-__attribute__((target("avx512f"))) inline __m512i xo_next8(
-    __m512i& s0, __m512i& s1, __m512i& s2, __m512i& s3) noexcept {
-  const __m512i r =
-      _mm512_add_epi64(_mm512_rol_epi64(_mm512_add_epi64(s0, s3), 23), s0);
-  const __m512i t = _mm512_slli_epi64(s1, 17);
-  s2 = _mm512_xor_si512(s2, s0);
-  s3 = _mm512_xor_si512(s3, s1);
-  s1 = _mm512_xor_si512(s1, s2);
-  s0 = _mm512_xor_si512(s0, s3);
-  s2 = _mm512_xor_si512(s2, t);
-  s3 = _mm512_rol_epi64(s3, 45);
-  return r;
-}
-
-// Lemire multiply-shift for eight lanes. The unsigned mask compare
-// subsumes the AVX2 path's explicit range check: the rejection branch
-// needs low < threshold, and threshold < b <= 2^24 makes any low with
-// upper bits set compare false on its own.
-__attribute__((target("avx512f"))) inline __m512i lemire8(
-    __m512i x, __m512i vb, __m512i vthr, __mmask8& rej) noexcept {
-  const __m512i t2 = _mm512_mul_epu32(x, vb);
-  const __m512i t1 = _mm512_mul_epu32(_mm512_srli_epi64(x, 32), vb);
-  const __m512i sum = _mm512_add_epi64(t1, _mm512_srli_epi64(t2, 32));
-  const __m512i low = _mm512_or_si512(
-      _mm512_slli_epi64(sum, 32),
-      _mm512_and_si512(t2, _mm512_set1_epi64(0xffffffffLL)));
-  rej = static_cast<__mmask8>(rej | _mm512_cmplt_epu64_mask(low, vthr));
-  return _mm512_srli_epi64(sum, 32);
-}
-
 // Narrows two 4x64 registers (values < 2^31) into one 8x32 store.
 __attribute__((target("avx2"))) inline void store_lo32x8(std::int32_t* dst,
                                                          __m256i a,
@@ -168,7 +135,7 @@ struct BandEnv {
 };
 
 // Per-group SIMD execute state: lane constants and the seven counter
-// accumulators. The width-16 path keeps two of these live and runs
+// accumulators. The width-16 walk keeps two of these live and runs
 // their ticks interleaved.
 struct Group {
   __m256i vactive, vlane;
@@ -414,7 +381,6 @@ ReplicaBand::ReplicaBand(std::span<SeparationChain* const> chains,
     }
   }
   simd_ = mode == Mode::kAuto && auto_simd();
-  decode512_ = simd_ && detail::cpu_has_avx512f();
   compact_ = head.system().size() + 1 <= cell::kCompactIndexMask;
   const std::size_t w = chains_.size();
   group_lanes_ = simd_ ? w / 8 * 8 : 0;
@@ -485,7 +451,6 @@ void ReplicaBand::run(std::span<const std::uint64_t> quotas) {
     if (!fresh) rebuild_arena();
     std::uint64_t most = *std::max_element(rem.begin(), rem.begin() + G);
     std::array<std::size_t, kMaxWidth> active{};
-    std::array<std::size_t, kMaxWidth> done{};
     while (arena_ok_ && most > 0) {
       const std::size_t count =
           static_cast<std::size_t>(std::min<std::uint64_t>(most, block_size_));
@@ -493,10 +458,10 @@ void ReplicaBand::run(std::span<const std::uint64_t> quotas) {
         active[r] =
             static_cast<std::size_t>(std::min<std::uint64_t>(rem[r], count));
       }
-      run_block(active.data(), done.data(), count);
+      run_block(active.data());
       most = 0;
       for (std::size_t r = 0; r < G; ++r) {
-        rem[r] -= done[r];
+        rem[r] -= active[r];
         most = std::max(most, rem[r]);
       }
     }
@@ -616,23 +581,17 @@ void ReplicaBand::rebuild_arena() {
   arena_ok_ = true;
 }
 
-void ReplicaBand::run_block(const std::size_t* active, std::size_t* done,
-                            std::size_t count) {
+void ReplicaBand::run_block(const std::size_t* active) {
   ++stats_.blocks;
   const std::size_t G = group_lanes_;
+  const std::size_t W = width();
 
   // DECODE: each full 8-lane group runs the vectorized generator+Lemire
   // path over the group's uniform tick prefix; ragged per-lane tails use
   // the scalar bulk-refill decode. Word consumption per lane is
-  // identical either way. The pre-decode states let a declined arena
-  // rewind the streams below.
-  std::array<util::Rng::State, kMaxWidth> snap{};
-  for (std::size_t r = 0; r < G; ++r) snap[r] = chains_[r]->rng_.state();
+  // identical either way.
   for (std::size_t g = 0; g < G; g += 8) {
-    std::size_t uniform = count;
-    for (std::size_t j = 0; j < 8; ++j) {
-      uniform = std::min(uniform, active[g + j]);
-    }
+    const std::size_t uniform = *std::min_element(active + g, active + g + 8);
     if (uniform > 0) decode_group_simd(g, uniform);
     for (std::size_t j = 0; j < 8; ++j) {
       if (active[g + j] > uniform) {
@@ -641,35 +600,38 @@ void ReplicaBand::run_block(const std::size_t* active, std::size_t* done,
     }
   }
 
-  // EXECUTE: a width-16 band runs its two groups interleaved through
-  // one tick loop, a single group alone; lanes whose quota ends early
-  // are masked off tick by tick. Either walk returns the tick it
-  // stopped at: the block's end, or one past the tick whose drift
-  // rebuild declined the arena.
+  // EXECUTE: one walker for one group or, at width 16, both groups
+  // interleaved through one tick loop; lanes whose quota ends early are
+  // masked off tick by tick. It returns the tick it stopped at: the
+  // block's end, or one past the tick whose drift rebuild declined the
+  // arena.
   const std::size_t stop =
-      G == 16 ? (compact_ ? execute_pair_simd<true>(0, active)
-                          : execute_pair_simd<false>(0, active))
-              : (compact_ ? execute_group_simd<true>(0, 0, active)
-                          : execute_group_simd<false>(0, 0, active));
-  for (std::size_t r = 0; r < G; ++r) done[r] = std::min(stop, active[r]);
-  if (!arena_ok_) {
-    // The block was decoded ahead of its execution, so each stream ran
-    // past the ticks its lane executed. Rewind it and re-draw exactly
-    // those ticks' words, Lemire spills included, so the lane's
-    // pipeline resumes on the very next draw. The re-draw re-reads
-    // words the decode already counted, so it adds nothing to the
-    // tallies, and the discarded ticks' refill words leave them (their
-    // rare Lemire spills stay counted, and the pipeline counts them
-    // again).
-    const std::uint64_t tail = stats_.tail_words;
-    for (std::size_t r = 0; r < G; ++r) {
-      chains_[r]->rng_.set_state(snap[r]);
-      decode_lane(r, 0, done[r]);
-      stats_.refill_words -= 3 * active[r];
-    }
-    stats_.tail_words = tail;
+      G == 16 ? (compact_ ? execute_group_simd<true, 2>(active)
+                          : execute_group_simd<false, 2>(active))
+              : (compact_ ? execute_group_simd<true, 1>(active)
+                          : execute_group_simd<false, 1>(active));
+  std::array<std::size_t, kMaxWidth> done{};
+  for (std::size_t r = 0; r < G; ++r) {
+    done[r] = std::min(stop, active[r]);
+    stats_.simd_steps += done[r];
   }
-  flush_counters(done);
+  flush_counters(done.data());
+  if (arena_ok_) return;
+  // A drift rebuild declined the arena mid-block. Every lane's block is
+  // decoded and its stream already sits past its last tick, so step()'s
+  // own body finishes the remaining ticks from the decoded proposals,
+  // over the lane's FlatMap index brought current first.
+  for (std::size_t r = 0; r < G; ++r) {
+    if (done[r] == active[r]) continue;
+    SeparationChain& chain = *chains_[r];
+    stats_.reindexes += chain.sys_.reindex();
+    for (std::size_t t = done[r]; t < active[r]; ++t) {
+      chain.step_with(static_cast<ParticleIndex>(pi_[t * W + r]),
+                      static_cast<int>(dir_[t * W + r]),
+                      util::decode_uniform_open(q_[t * W + r]));
+    }
+    stats_.scalar_steps += active[r] - done[r];
+  }
 }
 
 void ReplicaBand::decode_lane(std::size_t r, std::size_t from,
@@ -698,7 +660,7 @@ void ReplicaBand::decode_lane(std::size_t r, std::size_t from,
 }
 
 template <bool kCompact>
-bool ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
+void ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
                               const Spill& sp) {
   using Cell =
       std::conditional_t<kCompact, std::uint16_t, std::uint32_t>;
@@ -711,8 +673,8 @@ bool ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
   // are re-read from the live packed SoA (an earlier lane's drift
   // rebuild may have re-centered the planes); a declined rebuild
   // finishes the tick's remaining applies without the arena — the
-  // decisions are already made — and the caller hands the rest of the
-  // block to the lane pipelines.
+  // decisions are already made — and the caller finishes the rest of
+  // the block through step_with().
   for (int m = mm_macc; m != 0; m &= m - 1) {
     const int j = std::countr_zero(static_cast<unsigned>(m));
     const std::size_t r = g8 + static_cast<std::size_t>(j);
@@ -782,7 +744,6 @@ bool ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
                                              (pci & kIdxMask));
     }
   }
-  return arena_ok_;
 }
 
 void ReplicaBand::flush_counters(const std::size_t* done) {
@@ -805,10 +766,6 @@ void ReplicaBand::flush_counters(const std::size_t* done) {
 
 __attribute__((target("avx2"))) void ReplicaBand::decode_group_simd(
     std::size_t g8, std::size_t ticks) {
-  if (decode512_) {
-    decode_group_simd512(g8, ticks);
-    return;
-  }
   const std::size_t W = width();
   const std::uint64_t n = chains_[0]->sys_.size();
 
@@ -859,7 +816,6 @@ __attribute__((target("avx2"))) void ReplicaBand::decode_group_simd(
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(q + idx), xa);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(q + idx + 4), xb);
   }
-  stats_.refill_words += 3 * ticks * 8;
 
   _mm256_store_si256(reinterpret_cast<__m256i*>(&st[0][0]), s0a);
   _mm256_store_si256(reinterpret_cast<__m256i*>(&st[0][4]), s0b);
@@ -876,6 +832,10 @@ __attribute__((target("avx2"))) void ReplicaBand::decode_group_simd(
 
   const int mrej = _mm256_movemask_pd(_mm256_castsi256_pd(reja)) |
                    (_mm256_movemask_pd(_mm256_castsi256_pd(rejb)) << 4);
+  // A replayed lane's words are counted by its replay, not here.
+  stats_.refill_words +=
+      3 * ticks * static_cast<std::size_t>(8 - std::popcount(
+                                                   static_cast<unsigned>(mrej)));
   if (mrej != 0) [[unlikely]] {
     // A lane hit the Lemire rejection branch, so its fast-path decode
     // is wrong from that draw on: replay the whole lane scalar from
@@ -889,71 +849,20 @@ __attribute__((target("avx2"))) void ReplicaBand::decode_group_simd(
   }
 }
 
-__attribute__((target("avx512f"))) void ReplicaBand::decode_group_simd512(
-    std::size_t g8, std::size_t ticks) {
-  const std::size_t W = width();
-  const std::uint64_t n = chains_[0]->sys_.size();
-
-  util::Rng::State snap[8];
-  alignas(64) std::uint64_t st[4][8];
-  for (std::size_t j = 0; j < 8; ++j) {
-    snap[j] = chains_[g8 + j]->rng_.state();
-    for (std::size_t k = 0; k < 4; ++k) st[k][j] = snap[j][k];
-  }
-  __m512i s0 = _mm512_load_si512(&st[0][0]);
-  __m512i s1 = _mm512_load_si512(&st[1][0]);
-  __m512i s2 = _mm512_load_si512(&st[2][0]);
-  __m512i s3 = _mm512_load_si512(&st[3][0]);
-
-  const __m512i vn = _mm512_set1_epi64(static_cast<long long>(n));
-  const __m512i v6 = _mm512_set1_epi64(6);
-  const __m512i vthrn =
-      _mm512_set1_epi64(static_cast<long long>((0 - n) % n));
-  const __m512i vthr6 = _mm512_set1_epi64(
-      static_cast<long long>((0 - std::uint64_t{6}) % 6));
-  __mmask8 rej = 0;
-
-  std::int32_t* const pi = pi_.data();
-  std::int32_t* const dr = dir_.data();
-  std::uint64_t* const q = q_.data();
-  for (std::size_t t = 0; t < ticks; ++t) {
-    const std::size_t idx = t * W + g8;
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(pi + idx),
-        _mm512_cvtepi64_epi32(
-            lemire8(xo_next8(s0, s1, s2, s3), vn, vthrn, rej)));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(dr + idx),
-        _mm512_cvtepi64_epi32(
-            lemire8(xo_next8(s0, s1, s2, s3), v6, vthr6, rej)));
-    // The Metropolis draw stays a raw word (see the AVX2 body).
-    _mm512_storeu_si512(q + idx, xo_next8(s0, s1, s2, s3));
-  }
-  stats_.refill_words += 3 * ticks * 8;
-
-  _mm512_store_si512(&st[0][0], s0);
-  _mm512_store_si512(&st[1][0], s1);
-  _mm512_store_si512(&st[2][0], s2);
-  _mm512_store_si512(&st[3][0], s3);
-  for (std::size_t j = 0; j < 8; ++j) {
-    chains_[g8 + j]->rng_.set_state(
-        {st[0][j], st[1][j], st[2][j], st[3][j]});
-  }
-
-  if (rej != 0) [[unlikely]] {
-    for (int m = rej; m != 0; m &= m - 1) {
-      const auto j = static_cast<std::size_t>(
-          std::countr_zero(static_cast<unsigned>(m)));
-      chains_[g8 + j]->rng_.set_state(snap[j]);
-      decode_lane(g8 + j, 0, ticks);
-    }
-  }
-}
-
-template <bool kCompact>
+template <bool kCompact, std::size_t kGroups>
 __attribute__((target("avx2"))) std::size_t ReplicaBand::execute_group_simd(
-    std::size_t g8, std::size_t from, const std::size_t* active) {
+    const std::size_t* active) {
+  // At kGroups = 2 (width 16) both 8-lane groups advance through ONE
+  // tick loop, the second group's decide issued while the first one's
+  // gathers are still in flight, so neither group's gather latency
+  // serializes the tick. Each tick decides every group, then applies
+  // every group, then checks the arena. Lanes never read another lane's
+  // plane, so running both decides before either apply changes
+  // scheduling, not results; the applies re-read the live packed SoA.
+  constexpr std::size_t kLanes = 8 * kGroups;
   const std::size_t W = width();
+  // Two groups fill a width-16 band, so the proposer-index shift is a
+  // compile-time immediate there.
   const BandEnv env{pi_.data(),
                     dir_.data(),
                     q_.data(),
@@ -961,18 +870,16 @@ __attribute__((target("avx2"))) std::size_t ReplicaBand::execute_group_simd(
                     ring_off_,
                     lp_off_,
                     W,
-                    (W & (W - 1)) == 0
+                    kGroups == 2 ? 4
+                    : (W & (W - 1)) == 0
                         ? static_cast<int>(std::countr_zero(W))
                         : -1,
-                    chains_[g8]->params_.swaps_enabled};
-  Group G;
-  group_init(G, g8, active);
-  std::size_t to = 0;
-  std::size_t tmin = active[g8];
-  for (std::size_t j = 0; j < 8; ++j) {
-    to = std::max(to, active[g8 + j]);
-    tmin = std::min(tmin, active[g8 + j]);
-  }
+                    chains_[0]->params_.swaps_enabled};
+  Group grp[kGroups];
+#pragma GCC unroll 2
+  for (std::size_t g = 0; g < kGroups; ++g) group_init(grp[g], 8 * g, active);
+  const std::size_t to = *std::max_element(active, active + kLanes);
+  const std::size_t tmin = *std::min_element(active, active + kLanes);
   std::size_t stop = to;
 
   // Ticks below every lane's quota run the maskless decide; only the
@@ -980,148 +887,80 @@ __attribute__((target("avx2"))) std::size_t ReplicaBand::execute_group_simd(
   // pays the per-tick quota masking. The arena pointers are refreshed
   // only after a tick that applied something — a drift rebuild inside
   // the apply phase is the only thing that moves cells/pcell_ — so the
-  // common all-reject tick never reloads them.
-  Spill sp;
+  // common all-reject tick never reloads them. A declined drift rebuild
+  // in one group's applies must not skip the other's: the decisions are
+  // already made, and apply_group itself skips only the arena mirroring
+  // once arena_ok_ is down.
+  const auto arena_cells = [this]() noexcept {
+    return kCompact ? reinterpret_cast<const int*>(cells16_.data())
+                    : reinterpret_cast<const int*>(cells_.data());
+  };
+  Spill sp[kGroups];
+  int mm[kGroups];
   bool down = false;
-  std::size_t t = from;
-  const int* cells = kCompact ? reinterpret_cast<const int*>(cells16_.data())
-                              : reinterpret_cast<const int*>(cells_.data());
+  std::size_t t = 0;
+  const int* cells = arena_cells();
   const std::int32_t* pcell = pcell_.data();
   for (; t < tmin; ++t) {
-    const int mm = band_decide<kCompact, false>(env, G, cells, pcell, t, &sp);
-    if (mm != 0) {
-      if (!apply_group<kCompact>(g8, mm & 0xFF, mm >> 8, sp)) {
+    int any = 0;
+#pragma GCC unroll 2
+    for (std::size_t g = 0; g < kGroups; ++g) {
+      mm[g] =
+          band_decide<kCompact, false>(env, grp[g], cells, pcell, t, &sp[g]);
+      any |= mm[g];
+    }
+    if (any != 0) {
+#pragma GCC unroll 2
+      for (std::size_t g = 0; g < kGroups; ++g) {
+        if (mm[g] != 0) {
+          apply_group<kCompact>(8 * g, mm[g] & 0xFF, mm[g] >> 8, sp[g]);
+        }
+      }
+      if (!arena_ok_) {
         stop = t + 1;
         down = true;
         break;
       }
-      cells = kCompact ? reinterpret_cast<const int*>(cells16_.data())
-                       : reinterpret_cast<const int*>(cells_.data());
+      cells = arena_cells();
       pcell = pcell_.data();
     }
   }
   for (; !down && t < to; ++t) {
-    const int mm = band_decide<kCompact, true>(env, G, cells, pcell, t, &sp);
-    if (mm != 0) {
-      if (!apply_group<kCompact>(g8, mm & 0xFF, mm >> 8, sp)) {
+    int any = 0;
+#pragma GCC unroll 2
+    for (std::size_t g = 0; g < kGroups; ++g) {
+      mm[g] =
+          band_decide<kCompact, true>(env, grp[g], cells, pcell, t, &sp[g]);
+      any |= mm[g];
+    }
+    if (any != 0) {
+#pragma GCC unroll 2
+      for (std::size_t g = 0; g < kGroups; ++g) {
+        if (mm[g] != 0) {
+          apply_group<kCompact>(8 * g, mm[g] & 0xFF, mm[g] >> 8, sp[g]);
+        }
+      }
+      if (!arena_ok_) {
         stop = t + 1;
         break;
       }
-      cells = kCompact ? reinterpret_cast<const int*>(cells16_.data())
-                       : reinterpret_cast<const int*>(cells_.data());
+      cells = arena_cells();
       pcell = pcell_.data();
     }
   }
 
   // Flush the vector accumulators into the per-lane counters.
-  alignas(32) std::int32_t acc[7][8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(acc[0]), G.acc_movep);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(acc[1]), G.acc_macc);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(acc[2]), G.acc_r5);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(acc[3]), G.acc_rloc);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(acc[4]), G.acc_rmet);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(acc[5]), G.acc_swapp);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(acc[6]), G.acc_sacc);
-  for (int j = 0; j < 8; ++j) {
-    LaneCounts& lc = lane_counts_[g8 + static_cast<std::size_t>(j)];
-    lc.move_proposals += static_cast<std::uint32_t>(acc[0][j]);
-    lc.moves_accepted += static_cast<std::uint32_t>(acc[1][j]);
-    lc.rejected_five += static_cast<std::uint32_t>(acc[2][j]);
-    lc.rejected_locality += static_cast<std::uint32_t>(acc[3][j]);
-    lc.rejected_metropolis += static_cast<std::uint32_t>(acc[4][j]);
-    lc.swap_proposals += static_cast<std::uint32_t>(acc[5][j]);
-    lc.swaps_accepted += static_cast<std::uint32_t>(acc[6][j]);
-  }
-  for (std::size_t j = 0; j < 8; ++j) {
-    const std::size_t a = active[g8 + j];
-    stats_.simd_steps += std::min(stop, a) - std::min(from, a);
-  }
-  return stop;
-}
-
-template <bool kCompact>
-__attribute__((target("avx2"))) std::size_t ReplicaBand::execute_pair_simd(
-    std::size_t from, const std::size_t* active) {
-  // Width-16 only: the two 8-lane groups advance through ONE tick loop,
-  // the second group's decide issued while the first one's gathers are
-  // still in flight, so neither group's gather latency serializes the
-  // tick. Lanes never read another lane's plane, so running both
-  // decides before either apply changes scheduling, not results; the
-  // applies re-read the live packed SoA exactly as the single-group
-  // path does.
-  const std::size_t W = width();
-  const BandEnv env{pi_.data(),
-                    dir_.data(),
-                    q_.data(),
-                    itab_,
-                    ring_off_,
-                    lp_off_,
-                    W,
-                    4,  // W == 16
-                    chains_[0]->params_.swaps_enabled};
-  Group A, B;
-  group_init(A, 0, active);
-  group_init(B, 8, active);
-  std::size_t to = 0;
-  std::size_t tmin = active[0];
-  for (std::size_t r = 0; r < 16; ++r) {
-    to = std::max(to, active[r]);
-    tmin = std::min(tmin, active[r]);
-  }
-  std::size_t stop = to;
-
-  Spill sa, sb;
-  bool down = false;
-  std::size_t t = from;
-  const int* cells = kCompact ? reinterpret_cast<const int*>(cells16_.data())
-                              : reinterpret_cast<const int*>(cells_.data());
-  const std::int32_t* pcell = pcell_.data();
-  for (; t < tmin; ++t) {
-    const int ma = band_decide<kCompact, false>(env, A, cells, pcell, t, &sa);
-    const int mb = band_decide<kCompact, false>(env, B, cells, pcell, t, &sb);
-    if ((ma | mb) != 0) {
-      // A declined drift rebuild in A's applies must not skip B's: the
-      // decisions are already made, and apply_group itself skips only
-      // the arena mirroring once arena_ok_ is down.
-      if (ma != 0) apply_group<kCompact>(0, ma & 0xFF, ma >> 8, sa);
-      if (mb != 0) apply_group<kCompact>(8, mb & 0xFF, mb >> 8, sb);
-      if (!arena_ok_) {
-        stop = t + 1;
-        down = true;
-        break;
-      }
-      cells = kCompact ? reinterpret_cast<const int*>(cells16_.data())
-                       : reinterpret_cast<const int*>(cells_.data());
-      pcell = pcell_.data();
-    }
-  }
-  for (; !down && t < to; ++t) {
-    const int ma = band_decide<kCompact, true>(env, A, cells, pcell, t, &sa);
-    const int mb = band_decide<kCompact, true>(env, B, cells, pcell, t, &sb);
-    if ((ma | mb) != 0) {
-      if (ma != 0) apply_group<kCompact>(0, ma & 0xFF, ma >> 8, sa);
-      if (mb != 0) apply_group<kCompact>(8, mb & 0xFF, mb >> 8, sb);
-      if (!arena_ok_) {
-        stop = t + 1;
-        break;
-      }
-      cells = kCompact ? reinterpret_cast<const int*>(cells16_.data())
-                       : reinterpret_cast<const int*>(cells_.data());
-      pcell = pcell_.data();
-    }
-  }
-
-  for (const Group* G : {&A, &B}) {
+  for (const Group& G : grp) {
     alignas(32) std::int32_t acc[7][8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[0]), G->acc_movep);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[1]), G->acc_macc);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[2]), G->acc_r5);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[3]), G->acc_rloc);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[4]), G->acc_rmet);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[5]), G->acc_swapp);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[6]), G->acc_sacc);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[0]), G.acc_movep);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[1]), G.acc_macc);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[2]), G.acc_r5);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[3]), G.acc_rloc);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[4]), G.acc_rmet);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[5]), G.acc_swapp);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(acc[6]), G.acc_sacc);
     for (int j = 0; j < 8; ++j) {
-      LaneCounts& lc = lane_counts_[G->g8 + static_cast<std::size_t>(j)];
+      LaneCounts& lc = lane_counts_[G.g8 + static_cast<std::size_t>(j)];
       lc.move_proposals += static_cast<std::uint32_t>(acc[0][j]);
       lc.moves_accepted += static_cast<std::uint32_t>(acc[1][j]);
       lc.rejected_five += static_cast<std::uint32_t>(acc[2][j]);
@@ -1130,10 +969,6 @@ __attribute__((target("avx2"))) std::size_t ReplicaBand::execute_pair_simd(
       lc.swap_proposals += static_cast<std::uint32_t>(acc[5][j]);
       lc.swaps_accepted += static_cast<std::uint32_t>(acc[6][j]);
     }
-  }
-  for (std::size_t r = 0; r < 16; ++r) {
-    const std::size_t a = active[r];
-    stats_.simd_steps += std::min(stop, a) - std::min(from, a);
   }
   return stop;
 }
@@ -1146,32 +981,21 @@ void ReplicaBand::decode_group_simd(std::size_t g8, std::size_t ticks) {
   for (std::size_t j = 0; j < 8; ++j) decode_lane(g8 + j, 0, ticks);
 }
 
-void ReplicaBand::decode_group_simd512(std::size_t g8, std::size_t ticks) {
-  decode_group_simd(g8, ticks);
-}
-
-template <bool kCompact>
-std::size_t ReplicaBand::execute_group_simd(std::size_t, std::size_t from,
-                                            const std::size_t*) {
+template <bool kCompact, std::size_t kGroups>
+std::size_t ReplicaBand::execute_group_simd(const std::size_t*) {
   // Unreachable: simd_ can never be true off x86-64 (auto_simd() is
   // false), so no lane ever reaches a SIMD group.
-  return from;
+  return 0;
 }
 
-template <bool kCompact>
-std::size_t ReplicaBand::execute_pair_simd(std::size_t from,
-                                           const std::size_t*) {
-  return from;
-}
-
-template std::size_t ReplicaBand::execute_group_simd<true>(
-    std::size_t, std::size_t, const std::size_t*);
-template std::size_t ReplicaBand::execute_group_simd<false>(
-    std::size_t, std::size_t, const std::size_t*);
-template std::size_t ReplicaBand::execute_pair_simd<true>(
-    std::size_t, const std::size_t*);
-template std::size_t ReplicaBand::execute_pair_simd<false>(
-    std::size_t, const std::size_t*);
+template std::size_t ReplicaBand::execute_group_simd<true, 1>(
+    const std::size_t*);
+template std::size_t ReplicaBand::execute_group_simd<false, 1>(
+    const std::size_t*);
+template std::size_t ReplicaBand::execute_group_simd<true, 2>(
+    const std::size_t*);
+template std::size_t ReplicaBand::execute_group_simd<false, 2>(
+    const std::size_t*);
 
 #endif
 

@@ -13,11 +13,12 @@
 //    states live as structure-of-arrays vector registers, each tick
 //    generates the band's three raw words with vector rotate/xor, and
 //    the Lemire multiply-shift decode happens in 64-bit vector lanes.
-//    The decode is bit-exact: a lane whose word would take the (once
-//    per ~2^40 draws) rejection branch is detected and replayed on the
-//    scalar util::lemire_below path from its pre-block state, so word
-//    consumption stays identical to serial step(). Ragged lane tails
-//    decode scalar (Rng::fill + lemire_below) as well.
+//    This AVX2 body is the band's one vector decode. It is bit-exact:
+//    a lane whose word would take the (once per ~2^40 draws) rejection
+//    branch is detected and replayed on the scalar util::lemire_below
+//    path from its pre-decode state, so word consumption stays
+//    identical to serial step(). Ragged lane tails decode scalar
+//    (Rng::fill + lemire_below) as well.
 //    Proposals land in lane-transposed arrays (tick-major, lane-minor)
 //    so one tick's band of proposals is a contiguous vector load.
 //  - EXECUTE vectorizes ACROSS lanes. Every replica owns a dense
@@ -52,11 +53,12 @@
 // — one shift normalizes either layout to the same top-nibble form, so
 // the decision kernel is layout-generic.
 //
-// Width-16 bands run their two 8-lane groups *interleaved*: each tick
-// issues group B's neighborhood gathers while group A's SWAR/LUT/
+// One SIMD walker serves one group or two. Width-16 bands run their two
+// 8-lane groups *interleaved* through it: each tick decides both groups
+// (group B's neighborhood gathers issue while group A's SWAR/LUT/
 // Metropolis arithmetic is still in flight, so gather latency hides
-// behind the other group's independent work instead of serializing
-// group-after-group. Lanes are independent chains, so the pairing
+// behind the other group's independent work), then applies both, then
+// checks the arena. Lanes are independent chains, so the pairing
 // changes instruction scheduling only, never any lane's trajectory.
 //
 // Dispatch is runtime: the SIMD path engages only when the CPU reports
@@ -64,12 +66,14 @@
 // group lane's bounding box economically. Every lane outside a full
 // 8-lane group runs through its own StepPipeline (step_pipeline.hpp),
 // built on first use, for its whole remaining quota: Mode::kScalar and
-// non-AVX2 hosts, the W % 8 remainder lanes, an arena refused at entry,
-// and the rest of a block whose arena a drift rebuild declined mid-walk
-// (the band rewinds each group lane's stream to the block's start and
-// re-draws exactly the ticks it executed before handing over). The
-// pipeline keeps its own mirror and index, so there is one scalar
-// walker. All paths produce the same bytes.
+// non-AVX2 hosts, the W % 8 remainder lanes, and group lanes whose
+// arena is refused at entry or was declined. When a drift rebuild
+// declines the arena mid-block, the block is already decoded, so each
+// group lane reindexes and finishes its remaining ticks through
+// SeparationChain::step_with — step()'s own body over the FlatMap —
+// before its pipeline takes over at the next block boundary. No stream
+// is rewound and no word is drawn twice. All paths produce the same
+// bytes.
 //
 // The contract, pinned by tests/replica_band_test.cpp: after
 // ReplicaBand::run, every bound chain is byte-identical to a twin
@@ -118,13 +122,13 @@ class ReplicaBand {
   /// (simd_steps + scalar_steps) is the SIMD-coverage gate CI checks).
   /// The lane pipelines' refill_words, tail_words and reindexes are
   /// folded in, so simd_steps + scalar_steps and refill_words cover
-  /// every step of both tiers.
+  /// every step of both tiers exactly once.
   struct Stats {
     std::uint64_t blocks = 0;        ///< SIMD-group decode/execute blocks
     std::uint64_t refill_words = 0;  ///< bulk-refilled raw words
     std::uint64_t tail_words = 0;    ///< Lemire-rejection spill draws
     std::uint64_t simd_steps = 0;    ///< steps executed on the SIMD path
-    std::uint64_t scalar_steps = 0;  ///< steps run by the lane pipelines
+    std::uint64_t scalar_steps = 0;  ///< lane pipelines + step_with()
     std::uint64_t arena_rebuilds = 0;///< arena (re)builds
     std::uint64_t reindexes = 0;     ///< lane occupancy-index repairs
   };
@@ -202,12 +206,10 @@ class ReplicaBand {
  private:
 
   /// Runs one block of the group lanes [0, group_lanes_): `active[r]`
-  /// ticks each, at most `count`. Writes the ticks each lane actually
-  /// executed to `done` — fewer than active[r] only when a drift
-  /// rebuild declined the arena, in which case the lane's RNG stream
-  /// has been rewound to the first unexecuted tick.
-  void run_block(const std::size_t* active, std::size_t* done,
-                 std::size_t count);
+  /// ticks each. When a drift rebuild declines the arena mid-block,
+  /// each lane's remaining decoded ticks finish through step_with(), so
+  /// every lane always completes its active[r] ticks.
+  void run_block(const std::size_t* active);
   /// Advances lane `r` by `steps` through its pipeline (built on first
   /// use) and folds the pipeline's telemetry into stats_.
   void run_lane(std::size_t r, std::uint64_t steps);
@@ -216,40 +218,27 @@ class ReplicaBand {
   /// drawn from the live generator.
   void decode_lane(std::size_t r, std::size_t from, std::size_t to);
   /// Decodes ticks [0, ticks) for the full 8-lane group at `g8` with
-  /// the vectorized xoshiro256++/Lemire path; lanes that would hit the
-  /// Lemire rejection branch are replayed scalar from their pre-call
-  /// RNG state. Requires n < 2^24 (the vector rejection test's range).
-  /// Dispatches to the AVX-512 body below when the CPU has it.
+  /// the vectorized AVX2 xoshiro256++/Lemire path; lanes that would hit
+  /// the Lemire rejection branch are replayed scalar from their
+  /// pre-call RNG state. Requires n < 2^24 (the vector rejection test's
+  /// range).
   void decode_group_simd(std::size_t g8, std::size_t ticks);
-  /// AVX-512 twin of decode_group_simd: all eight lanes' xoshiro256++
-  /// states live in four zmm registers, so each draw is one vector op
-  /// sequence instead of two 4-lane halves. Every operation is an
-  /// exact integer op — the produced words, rejection replays, and
-  /// post-call RNG states are identical to the AVX2 body's.
-  void decode_group_simd512(std::size_t g8, std::size_t ticks);
-  /// Executes ticks [from, max over the group of active[g8+j]) for the
-  /// 8-lane group starting at lane `g8` with AVX2 gathers; lanes whose
-  /// active count is below the current tick are masked off. Returns
-  /// the tick it stopped at (the max normally; early when a drift
-  /// rebuild declined the arena).
-  template <bool kCompact>
-  SOPS_BAND_AVX2_FN std::size_t execute_group_simd(std::size_t g8,
-                                                   std::size_t from,
-                                                   const std::size_t* active);
-  /// The width-16 path: groups 0 and 8 advance through ONE tick loop,
-  /// their instruction streams interleaved so one group's gathers
-  /// overlap the other's arithmetic. Semantically identical to two
-  /// execute_group_simd calls — lanes never interact.
-  template <bool kCompact>
-  SOPS_BAND_AVX2_FN std::size_t execute_pair_simd(std::size_t from,
-                                                  const std::size_t* active);
+  /// The band's one SIMD walker: executes ticks [0, max active[r]) for
+  /// the kGroups 8-lane groups at lanes 0 and 8 with AVX2 gathers;
+  /// lanes whose active count is below the current tick are masked off.
+  /// At kGroups = 2 the two groups' instruction streams interleave so
+  /// one group's gathers overlap the other's arithmetic. Returns the
+  /// tick it stopped at (the max normally; one past the tick whose
+  /// drift rebuild declined the arena).
+  template <bool kCompact, std::size_t kGroups>
+  SOPS_BAND_AVX2_FN std::size_t execute_group_simd(const std::size_t* active);
   /// Applies one group's accepted moves/swaps (mask bits of mm_macc /
   /// mm_sacc) scalar through the *_unchecked mutators (index left
-  /// stale), mirroring each into the arena. Returns false when a drift
-  /// rebuild declined the arena (caller stops the SIMD walk after this
-  /// tick).
+  /// stale), mirroring each into the arena while it is up. A drift
+  /// rebuild may decline the arena (arena_ok_ = false); the caller
+  /// stops the SIMD walk after the tick.
   template <bool kCompact>
-  bool apply_group(std::size_t g8, int mm_macc, int mm_sacc, const Spill& sp);
+  void apply_group(std::size_t g8, int mm_macc, int mm_sacc, const Spill& sp);
 
   /// (Re)builds the shared-geometry arena of the group lanes in the
   /// layout fixed by n, plus their position/color SoA and the direction
@@ -263,8 +252,7 @@ class ReplicaBand {
   std::vector<SeparationChain*> chains_;
   std::size_t block_size_;
   bool simd_ = false;
-  bool decode512_ = false;  ///< AVX-512 decode kernel engaged
-  bool compact_ = false;    ///< 16-bit cell layout (fixed by n)
+  bool compact_ = false;  ///< 16-bit cell layout (fixed by n)
   /// Lanes in full 8-lane SIMD groups (0, 8 or 16); the rest, and all
   /// of them whenever the arena is down, run through pipes_.
   std::size_t group_lanes_ = 0;

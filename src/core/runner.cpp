@@ -34,11 +34,8 @@ Measurement measure(const SeparationChain& chain, std::int64_t pmin) {
 std::vector<Measurement> run_with_checkpoints(
     SeparationChain& chain, std::span<const std::uint64_t> checkpoints,
     const std::function<void(const SeparationChain&, std::uint64_t)>&
-        on_checkpoint,
-    std::size_t pipeline_block) {
-  StepPipeline pipeline(chain, pipeline_block == 0
-                                   ? StepPipeline::kDefaultBlockSize
-                                   : pipeline_block);
+        on_checkpoint) {
+  StepPipeline pipeline(chain);
   const std::int64_t pmin = system::p_min(chain.system().size());
   std::vector<Measurement> out;
   out.reserve(checkpoints.size());
@@ -57,11 +54,8 @@ std::vector<Measurement> run_with_checkpoints(
 std::vector<Measurement> sample_equilibrium(
     SeparationChain& chain, std::uint64_t burn_in, std::uint64_t interval,
     std::size_t samples,
-    const std::function<void(const SeparationChain&)>& on_sample,
-    std::size_t pipeline_block) {
-  StepPipeline pipeline(chain, pipeline_block == 0
-                                   ? StepPipeline::kDefaultBlockSize
-                                   : pipeline_block);
+    const std::function<void(const SeparationChain&)>& on_sample) {
+  StepPipeline pipeline(chain);
   const std::int64_t pmin = system::p_min(chain.system().size());
   pipeline.run(burn_in);
   std::vector<Measurement> out;

@@ -37,14 +37,11 @@ struct Measurement {
 /// checkpoint with the live chain (for rendering snapshots etc.).
 ///
 /// Both drivers construct one core::StepPipeline for the whole call and
-/// reuse its buffers across segments. `pipeline_block` tunes the
-/// pipeline's block size (0 = StepPipeline::kDefaultBlockSize); it
-/// affects only phase granularity, never the trajectory.
+/// reuse its buffers across segments.
 std::vector<Measurement> run_with_checkpoints(
     SeparationChain& chain, std::span<const std::uint64_t> checkpoints,
     const std::function<void(const SeparationChain&, std::uint64_t)>&
-        on_checkpoint = {},
-    std::size_t pipeline_block = 0);
+        on_checkpoint = {});
 
 /// Equilibrium sampling: runs `burn_in` steps, then records `samples`
 /// measurements `interval` steps apart, invoking `on_sample` (if set)
@@ -52,7 +49,6 @@ std::vector<Measurement> run_with_checkpoints(
 std::vector<Measurement> sample_equilibrium(
     SeparationChain& chain, std::uint64_t burn_in, std::uint64_t interval,
     std::size_t samples,
-    const std::function<void(const SeparationChain&)>& on_sample = {},
-    std::size_t pipeline_block = 0);
+    const std::function<void(const SeparationChain&)>& on_sample = {});
 
 }  // namespace sops::core

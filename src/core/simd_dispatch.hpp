@@ -6,7 +6,9 @@
 // paths engage only when the CPU reports AVX2 and the operator has not
 // set SOPS_FORCE_SCALAR (the CI fallback tier re-runs the equivalence
 // suites with it set, pinning that every scalar path produces the same
-// bytes). Non-x86 builds resolve to false at compile time.
+// bytes). Non-x86 builds resolve to false at compile time. AVX2 is the
+// only vector tier: wider CPUs (AVX-512) run the same AVX2 bodies, so
+// every host that takes the SIMD path runs the same code.
 #pragma once
 
 #include <cstdlib>
@@ -17,17 +19,6 @@ namespace sops::core::detail {
 #if defined(__x86_64__) || defined(_M_X64)
   return __builtin_cpu_supports("avx2") &&
          std::getenv("SOPS_FORCE_SCALAR") == nullptr;
-#else
-  return false;
-#endif
-}
-
-/// AVX-512 Foundation: gates the band's 8-lane-wide decode kernel
-/// (zmm xoshiro states, vprolq, vpmovqd). Integer-exact, so engaging
-/// it never changes any byte — only how fast the words are produced.
-[[nodiscard]] inline bool cpu_has_avx512f() noexcept {
-#if defined(__x86_64__) || defined(_M_X64)
-  return __builtin_cpu_supports("avx512f");
 #else
   return false;
 #endif

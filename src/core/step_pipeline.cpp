@@ -223,21 +223,21 @@ void StepPipeline::run_block(std::size_t count) {
   }
   stats_.tail_words += tail;
 
-  // 3. EXECUTE. A mid-block drift rebuild can decline the mirror (box
-  // cap); the mirrored walk then stops where it is and the FlatMap walk
-  // finishes the block — the decoded proposals are path-independent.
-  // The FlatMap walk reads the system's index, so it first brings that
-  // up to date with the mirrored walk's accepts.
-  std::size_t done = 0;
-  if (mirror_ok_) done = execute_block<true>(0, count);
+  // 3. EXECUTE. A mirror refused at entry never starts, and a mid-block
+  // drift rebuild can decline it (box cap); either way step()'s own
+  // body finishes the block from the decoded proposals, which are
+  // path-independent. It reads the system's index, so one reindex first
+  // brings that up to date with the mirrored walk's accepts.
+  const std::size_t done = mirror_ok_ ? execute_block(count) : 0;
   if (done < count) {
     stats_.reindexes += chain_.sys_.reindex();
-    execute_block<false>(done, count);
+    for (std::size_t i = done; i < count; ++i) {
+      chain_.step_with(props_[i].pi, props_[i].dir, props_[i].q);
+    }
   }
 }
 
-template <bool kMirror>
-std::size_t StepPipeline::execute_block(std::size_t begin, std::size_t count) {
+std::size_t StepPipeline::execute_block(std::size_t count) {
   system::ParticleSystem& sys = chain_.sys_;
   const Params params = chain_.params_;
   const double* const pow_l = chain_.pow_lambda_ + SeparationChain::kMaxExp;
@@ -247,76 +247,66 @@ std::size_t StepPipeline::execute_block(std::size_t begin, std::size_t count) {
   std::uint32_t* cells = cells_.data();
   std::size_t done = count;
 
-  // Snapshot the proposer's position and pull in the lines its gather
-  // will probe: in mirror mode the three mirror rows the 10-node
-  // neighborhood spans, otherwise the occupancy-table probe lines of
-  // the target l' and the two common ring neighbors. Valid while no
-  // accepted move/swap intervenes — hence the epoch stamp.
+  // Snapshot the proposer's position and pull in the three mirror rows
+  // its 10-node neighborhood spans. Valid while no accepted move/swap
+  // intervenes — hence the epoch stamp.
   const auto speculate = [&](Proposal& pr) noexcept {
     pr.l = sys.position(pr.pi);
     pr.epoch = epoch;
-    if constexpr (kMirror) {
-      pr.base = mirror_index(pr.l);
+    pr.base = mirror_index(pr.l);
 #if defined(__GNUC__) || defined(__clang__)
-      __builtin_prefetch(
-          &cells[pr.base + lp_off_[static_cast<std::size_t>(pr.dir)]], 0, 1);
-      __builtin_prefetch(&cells[pr.base - w_], 0, 1);
-      __builtin_prefetch(&cells[pr.base + w_], 0, 1);
+    __builtin_prefetch(
+        &cells[pr.base + lp_off_[static_cast<std::size_t>(pr.dir)]], 0, 1);
+    __builtin_prefetch(&cells[pr.base - w_], 0, 1);
+    __builtin_prefetch(&cells[pr.base + w_], 0, 1);
 #endif
-    } else {
-      sys.prefetch_occupancy(lattice::neighbor(pr.l, pr.dir));
-      sys.prefetch_occupancy(lattice::neighbor(pr.l, (pr.dir + 1) % 6));
-      sys.prefetch_occupancy(lattice::neighbor(pr.l, (pr.dir + 5) % 6));
-    }
   };
 
-  // Window-gather speculation (AVX2 mirror walks) tracks validity in
-  // two locals: which 8-proposal window the spec_* arrays currently
-  // hold, and the mutation epoch they were gathered at. Locals — not
+  // Window-gather speculation (AVX2 walks) tracks validity in two
+  // locals: which 8-proposal window the spec_* arrays currently hold,
+  // and the mutation epoch they were gathered at. Locals — not
   // per-proposal stamps — because the epoch restarts at 0 every block,
   // so a stamp left over from an earlier block could alias a fresh one.
-  const bool window_mode = kMirror && simd_;
+  const bool window_mode = simd_;
   std::size_t win = ~std::size_t{0};
   std::uint64_t wepoch = 0;
 
-  if (!window_mode && begin < count) speculate(props_[begin]);
-  for (std::size_t i = begin; i < count; ++i) {
+  if (!window_mode && count > 0) speculate(props_[0]);
+  for (std::size_t i = 0; i < count; ++i) {
     const Proposal& pr = props_[i];
     Node l;
     std::int64_t base = 0;
     NeighborhoodView nb;
     bool assembled = false;
     if (window_mode) {
-      if constexpr (kMirror) {
-        if ((i & (kSpecWindow - 1)) == 0 && i + kSpecWindow <= count) {
-          spec_gather8(i, cells);
-          win = i / kSpecWindow;
-          wepoch = epoch;
-        }
-        // The position read stays unconditional — one hot L1 load, and
-        // keeping it out of the speculation contract means a stale
-        // window can never misplace the proposer.
-        l = sys.position(pr.pi);
-        if (i / kSpecWindow == win && epoch == wepoch) {
-          base = spec_base_[i];
-          const std::uint32_t lpc = spec_lpc_[i];
-          nb.occ = static_cast<std::uint16_t>(spec_occ_[i]);
-          nb.color_nibbles ^=
-              static_cast<std::uint64_t>(spec_nib_[i]) |
-              (static_cast<std::uint64_t>(lpc >> cell::kWideNibbleShift)
-               << 36) |
-              (static_cast<std::uint64_t>(sys.color(pr.pi) ^ 0xFu) << 32);
-          nb.p_at_l = pr.pi;
-          nb.p_at_lp =
-              static_cast<ParticleIndex>(lpc & cell::kWideIndexMask) - 1;
-          assembled = true;
-          ++stats_.speculative_hits;
-        } else {
-          // Ragged tail before/after the last full window, or an accept
-          // invalidated the gather; plain scalar path.
-          base = mirror_index(l);
-          ++stats_.speculative_misses;
-        }
+      if ((i & (kSpecWindow - 1)) == 0 && i + kSpecWindow <= count) {
+        spec_gather8(i, cells);
+        win = i / kSpecWindow;
+        wepoch = epoch;
+      }
+      // The position read stays unconditional — one hot L1 load, and
+      // keeping it out of the speculation contract means a stale window
+      // can never misplace the proposer.
+      l = sys.position(pr.pi);
+      if (i / kSpecWindow == win && epoch == wepoch) {
+        base = spec_base_[i];
+        const std::uint32_t lpc = spec_lpc_[i];
+        nb.occ = static_cast<std::uint16_t>(spec_occ_[i]);
+        nb.color_nibbles ^=
+            static_cast<std::uint64_t>(spec_nib_[i]) |
+            (static_cast<std::uint64_t>(lpc >> cell::kWideNibbleShift)
+             << 36) |
+            (static_cast<std::uint64_t>(sys.color(pr.pi) ^ 0xFu) << 32);
+        nb.p_at_l = pr.pi;
+        nb.p_at_lp =
+            static_cast<ParticleIndex>(lpc & cell::kWideIndexMask) - 1;
+        assembled = true;
+        ++stats_.speculative_hits;
+      } else {
+        // Ragged tail before/after the last full window, or an accept
+        // invalidated the gather; plain scalar path.
+        base = mirror_index(l);
+        ++stats_.speculative_misses;
       }
     } else {
       if (i + 1 < count) {
@@ -325,47 +315,41 @@ std::size_t StepPipeline::execute_block(std::size_t begin, std::size_t count) {
       }
       if (pr.epoch == epoch) {
         l = pr.l;
-        if constexpr (kMirror) base = pr.base;
+        base = pr.base;
         ++stats_.speculative_hits;
       } else {
         // An accepted move/swap since the snapshot may have relocated
         // the proposer; fall back to a fresh read + plain gather.
         l = sys.position(pr.pi);
-        if constexpr (kMirror) base = mirror_index(l);
+        base = mirror_index(l);
         ++stats_.speculative_misses;
       }
     }
     const int dir = static_cast<int>(pr.dir);
     const double q = pr.q;
-    const std::int64_t lp_cell =
-        kMirror ? base + lp_off_[static_cast<std::size_t>(dir)] : 0;
+    const std::int64_t lp_cell = base + lp_off_[static_cast<std::size_t>(dir)];
 
     if (!assembled) {
-      if constexpr (kMirror) {
-        // Branch-free gather from the dense mirror: ten direct loads;
-        // the cell encoding IS the occupancy bit and the nibble XOR
-        // mask.
-        const std::int64_t* const roff =
-            ring_off_[static_cast<std::size_t>(dir)].data();
-        unsigned occ = 1u << NeighborhoodGather::kNodeL;
-        std::uint64_t nib = 0;
-        for (std::size_t k = 0; k < 8; ++k) {
-          const std::uint32_t cl = cells[base + roff[k]];
-          occ |= static_cast<unsigned>(cl != 0) << k;
-          nib ^= static_cast<std::uint64_t>(cl >> cell::kWideNibbleShift)
-                 << (4 * k);
-        }
-        const std::uint32_t lpc = cells[lp_cell];
-        occ |= static_cast<unsigned>(lpc != 0) << NeighborhoodGather::kNodeLp;
-        nib ^= static_cast<std::uint64_t>(lpc >> cell::kWideNibbleShift) << 36;
-        nib ^= static_cast<std::uint64_t>(sys.color(pr.pi) ^ 0xFu) << 32;
-        nb.occ = static_cast<std::uint16_t>(occ);
-        nb.color_nibbles ^= nib;
-        nb.p_at_l = pr.pi;
-        nb.p_at_lp = static_cast<ParticleIndex>(lpc & cell::kWideIndexMask) - 1;
-      } else {
-        nb = NeighborhoodView::gather(sys, l, dir, pr.pi);
+      // Branch-free gather from the dense mirror: ten direct loads; the
+      // cell encoding IS the occupancy bit and the nibble XOR mask.
+      const std::int64_t* const roff =
+          ring_off_[static_cast<std::size_t>(dir)].data();
+      unsigned occ = 1u << NeighborhoodGather::kNodeL;
+      std::uint64_t nib = 0;
+      for (std::size_t k = 0; k < 8; ++k) {
+        const std::uint32_t cl = cells[base + roff[k]];
+        occ |= static_cast<unsigned>(cl != 0) << k;
+        nib ^= static_cast<std::uint64_t>(cl >> cell::kWideNibbleShift)
+               << (4 * k);
       }
+      const std::uint32_t lpc = cells[lp_cell];
+      occ |= static_cast<unsigned>(lpc != 0) << NeighborhoodGather::kNodeLp;
+      nib ^= static_cast<std::uint64_t>(lpc >> cell::kWideNibbleShift) << 36;
+      nib ^= static_cast<std::uint64_t>(sys.color(pr.pi) ^ 0xFu) << 32;
+      nb.occ = static_cast<std::uint16_t>(occ);
+      nb.color_nibbles ^= nib;
+      nb.p_at_l = pr.pi;
+      nb.p_at_lp = static_cast<ParticleIndex>(lpc & cell::kWideIndexMask) - 1;
     }
 
     if (!nb.lp_occupied()) {
@@ -390,30 +374,24 @@ std::size_t StepPipeline::execute_block(std::size_t begin, std::size_t count) {
       const Node to = lattice::neighbor(l, dir);
       ++c.moves_accepted;
       ++epoch;
-      if constexpr (kMirror) {
-        // The gather already certified the target adjacent and empty, so
-        // skip apply_move's precondition probes along with the recounts;
-        // the mirror, not the system's index, records the move.
-        sys.apply_move_unchecked(pr.pi, to, ep - e, (ep - epi) - (e - ei));
-        cells[lp_cell] = cells[base];
-        cells[base] = 0;
-        // Keep every particle at least cell::kSlack (> the gather's
-        // 2-cell reach) away from the box edge: re-center the box when a
-        // move drifts into the guard band. A declined rebuild (box cap)
-        // hands the rest of the block to the FlatMap walk.
-        if (to.x - x0_ < cell::kSlack || x0_ + w_ - 1 - to.x < cell::kSlack ||
-            to.y - y0_ < cell::kSlack || y0_ + h_ - 1 - to.y < cell::kSlack) {
-          rebuild_mirror();
-          if (!mirror_ok_) {
-            done = i + 1;
-            break;
-          }
-          cells = cells_.data();  // assign() may have reallocated
+      // The gather already certified the target adjacent and empty, so
+      // skip apply_move's precondition probes along with the recounts;
+      // the mirror, not the system's index, records the move.
+      sys.apply_move_unchecked(pr.pi, to, ep - e, (ep - epi) - (e - ei));
+      cells[lp_cell] = cells[base];
+      cells[base] = 0;
+      // Keep every particle at least cell::kSlack (> the gather's 2-cell
+      // reach) away from the box edge: re-center the box when a move
+      // drifts into the guard band. A declined rebuild (box cap) hands
+      // the rest of the block to step_with().
+      if (to.x - x0_ < cell::kSlack || x0_ + w_ - 1 - to.x < cell::kSlack ||
+          to.y - y0_ < cell::kSlack || y0_ + h_ - 1 - to.y < cell::kSlack) {
+        rebuild_mirror();
+        if (!mirror_ok_) {
+          done = i + 1;
+          break;
         }
-      } else {
-        // The FlatMap walk reads the index it mutates, so it applies
-        // through the delta-fed checked overload, which keeps it current.
-        sys.apply_move(pr.pi, to, ep - e, (ep - epi) - (e - ei));
+        cells = cells_.data();  // assign() may have reallocated
       }
       continue;
     }
@@ -428,25 +406,20 @@ std::size_t StepPipeline::execute_block(std::size_t begin, std::size_t count) {
     // the conditional cell exchange masks to zero for equal top nibbles.
     // The h(σ) delta of a heterogeneous swap is −swap_exponent — the
     // neighborhood is already in registers, so the apply skips both
-    // before/after occupancy recounts. As for moves, the FlatMap walk
-    // applies through the delta-fed checked overload.
+    // before/after occupancy recounts.
     ++c.swaps_accepted;
     ++epoch;
-    if constexpr (kMirror) {
-      sys.apply_swap_unchecked(pr.pi, nb.p_at_lp, -sx);
-      const std::uint32_t a = cells[base];
-      const std::uint32_t b = cells[lp_cell];
-      const std::uint32_t mask =
-          ((a ^ b) >> cell::kWideNibbleShift) != 0 ? ~std::uint32_t{0} : 0;
-      cells[base] = a ^ ((a ^ b) & mask);
-      cells[lp_cell] = b ^ ((a ^ b) & mask);
-    } else {
-      sys.apply_swap(pr.pi, nb.p_at_lp, -sx);
-    }
+    sys.apply_swap_unchecked(pr.pi, nb.p_at_lp, -sx);
+    const std::uint32_t a = cells[base];
+    const std::uint32_t b = cells[lp_cell];
+    const std::uint32_t mask =
+        ((a ^ b) >> cell::kWideNibbleShift) != 0 ? ~std::uint32_t{0} : 0;
+    cells[base] = a ^ ((a ^ b) & mask);
+    cells[lp_cell] = b ^ ((a ^ b) & mask);
   }
 
   SeparationChain::Counters& out = chain_.counters_;
-  out.steps += done - begin;
+  out.steps += done;
   out.move_proposals += c.move_proposals;
   out.moves_accepted += c.moves_accepted;
   out.rejected_five += c.rejected_five;
@@ -456,10 +429,5 @@ std::size_t StepPipeline::execute_block(std::size_t begin, std::size_t count) {
   out.swaps_accepted += c.swaps_accepted;
   return done;
 }
-
-template std::size_t StepPipeline::execute_block<true>(std::size_t,
-                                                       std::size_t);
-template std::size_t StepPipeline::execute_block<false>(std::size_t,
-                                                        std::size_t);
 
 }  // namespace sops::core

@@ -18,9 +18,9 @@
 //     rng.next() calls) is identical to calling step() in a loop.
 //     Proposals depend only on the draws, never on the configuration,
 //     so the whole block can be decoded before any step executes.
-//  3. EXECUTE — walk the decoded block. On AVX2 machines in mirror
-//     mode, the walk runs a *speculative window*: at every 8-proposal
-//     boundary one vectorized pass gathers the full 10-node
+//  3. EXECUTE — walk the decoded block over the mirror (below). On
+//     AVX2 machines the walk runs a *speculative window*: at every
+//     8-proposal boundary one vectorized pass gathers the full 10-node
 //     neighborhoods of the next eight pre-decoded proposals (one
 //     proposal per SIMD lane — positions by epi64 gather, ring cells
 //     by epi32 gathers over vpermd-selected direction offsets) and
@@ -32,7 +32,7 @@
 //     (or that never got one: ragged tail, scalar build) falls back to
 //     the plain position read + gather — speculation is a hint, never
 //     an input. Off the SIMD path the walk keeps the older one-ahead
-//     position snapshot + prefetch speculation, with the same epoch
+//     position snapshot + mirror-row prefetch, with the same epoch
 //     rule. The Metropolis pow_lambda_/pow_gamma_ table bases and the
 //     counter updates are hoisted out of the per-step path: counters
 //     accumulate in locals and flush once per block.
@@ -49,13 +49,13 @@
 // structure kept current: accepted moves/swaps go through the system's
 // *_unchecked mutators, which update positions and edge counts but
 // leave the FlatMap index stale, and run() rebuilds the index once on
-// exit. Systems the mirror cannot cover economically (disconnected
-// outliers blowing up the bounding box) fall back to the FlatMap gather
-// path with occupancy-line prefetch hints, after a reindex and applying
-// through the delta-fed checked mutators — same trajectory, fewer
-// tricks. step() itself keeps the plain FlatMap path: it is the
-// reference twin the pipeline is tested against, not the production
-// driver.
+// exit. When the mirror is refused at entry (disconnected outliers
+// blowing up the bounding box) or declined by a mid-block drift
+// rebuild, the pipeline reindexes once and hands the block's remaining
+// decoded proposals to SeparationChain::step_with — the body of step()
+// itself, over the FlatMap. There is no second FlatMap walk to keep in
+// step: the reference twin the pipeline is tested against is also its
+// fallback.
 //
 // The contract, pinned by tests/step_pipeline_test.cpp at every block
 // size and segment split: a trajectory driven by StepPipeline::run is
@@ -121,22 +121,22 @@ class StepPipeline {
 
  private:
   /// One decoded proposal plus the speculative position snapshot taken
-  /// during the execute walk.
+  /// during the scalar (non-window) execute walk.
   struct Proposal {
     system::ParticleIndex pi = system::kNoParticle;
     std::int32_t dir = 0;
     double q = 0.0;
     lattice::Node l{};          ///< position snapshot (valid iff epochs match)
-    std::int64_t base = 0;      ///< mirror cell index of l (mirror mode only)
+    std::int64_t base = 0;      ///< mirror cell index of l
     std::uint64_t epoch = ~0ULL;///< mutation epoch at snapshot time
   };
 
   void run_block(std::size_t count);
-  /// Executes decoded proposals [begin, count) and returns the index it
-  /// stopped at: `count` normally, or the resume point when the mirror
-  /// was declined mid-walk (drift rebuild hitting the box cap).
-  template <bool kMirror>
-  std::size_t execute_block(std::size_t begin, std::size_t count);
+  /// Walks decoded proposals [0, count) over the mirror and returns the
+  /// index it stopped at: `count` normally, or the resume point when
+  /// the mirror was declined mid-walk (drift rebuild hitting the box
+  /// cap).
+  std::size_t execute_block(std::size_t count);
   /// One speculative window: AVX2-gathers the 10-node neighborhoods of
   /// proposals [i0, i0 + kSpecWindow) against the current mirror state
   /// and stores their assembled occupancy masks / nibble words / lp

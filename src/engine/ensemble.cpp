@@ -144,10 +144,7 @@ void run_band_lockstep(std::span<Lane> lanes, const ChainJob& job,
   std::vector<core::SeparationChain*> chains;
   chains.reserve(lanes.size());
   for (Lane& lane : lanes) chains.push_back(lane.chain);
-  core::ReplicaBand band(chains,
-                         job.pipeline_block == 0
-                             ? core::ReplicaBand::kDefaultBlockSize
-                             : job.pipeline_block);
+  core::ReplicaBand band(chains);
   std::vector<std::uint64_t> quotas(lanes.size(), 0);
   while (true) {
     bool any = false;
@@ -216,7 +213,6 @@ std::vector<TaskResult> run_banded_ensemble(ThreadPool& pool,
     std::vector<Lane> lanes(group.count);
     for (std::size_t r = 0; r < group.count; ++r) {
       lanes[r].model = job.make_model(gtasks[r]);
-      lanes[r].model->set_pipeline_block(job.pipeline_block);
       lanes[r].chain = lanes[r].model->band_chain();
       lanes[r].points = schedule_points(resolve_protocol(job, gtasks[r]));
     }
@@ -270,7 +266,6 @@ TaskFn make_task_fn(const ChainJob& job) {
   }
   return [&job](const Task& task) {
     std::unique_ptr<model::ChainModel> m = job.make_model(task);
-    m->set_pipeline_block(job.pipeline_block);
     return drive_protocol(*m, job, task);
   };
 }

@@ -148,12 +148,6 @@ struct ChainJob {
   /// write only to slots keyed by Task::index.
   std::function<void(const Task&, const model::ChainModel&)> on_sample;
 
-  /// Block size hint forwarded to ChainModel::set_pipeline_block (0 =
-  /// model default). Tunes only refill/decode granularity —
-  /// trajectories, and therefore reports, are byte-identical at every
-  /// value.
-  std::size_t pipeline_block = 0;
-
   /// Across-replica banding (core::ReplicaBand): when ≥ 2, replicas of
   /// the same grid cell are grouped into lock-step bands of up to this
   /// many lanes (clamped to ReplicaBand::kMaxWidth) and one band is one

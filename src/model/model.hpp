@@ -72,9 +72,10 @@ class ChainModel {
   /// restorable state.
   [[nodiscard]] virtual std::vector<std::string> save_state() const = 0;
 
-  /// Batched-run granularity hint (0 = implementation default). Affects
-  /// buffer sizes only — trajectories are byte-identical at every
-  /// value. Default: no-op for models without a batched pipeline.
+  /// No-op kept only as an override point: no model tunes its batch
+  /// size any more (every pipeline uses its default block), but
+  /// decorators outside src/, such as perfbench's tracing wrapper,
+  /// still override and forward it.
   virtual void set_pipeline_block(std::size_t /*block*/) {}
 
   /// Band-execution hook: the live separation chain when this model can

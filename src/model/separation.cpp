@@ -16,10 +16,9 @@ namespace {
 
 class SeparationModel final : public ChainModel {
  public:
-  SeparationModel(core::SeparationChain chain, std::size_t pipeline_block)
+  explicit SeparationModel(core::SeparationChain chain)
       : chain_(std::move(chain)),
-        pmin_(system::p_min(chain_.system().size())),
-        block_(pipeline_block) {}
+        pmin_(system::p_min(chain_.system().size())) {}
 
   [[nodiscard]] std::string_view tag() const noexcept override {
     return kSeparationTag;
@@ -27,14 +26,8 @@ class SeparationModel final : public ChainModel {
 
   void run(std::uint64_t iterations) override {
     // One pipeline per trajectory, created lazily so it binds the
-    // chain at its final (heap) address; recreated only when the block
-    // size changes, which is trajectory-neutral by the pipeline's
-    // byte-identity contract.
-    if (!pipeline_) {
-      pipeline_ = std::make_unique<core::StepPipeline>(
-          chain_, block_ == 0 ? core::StepPipeline::kDefaultBlockSize
-                              : block_);
-    }
+    // chain at its final (heap) address.
+    if (!pipeline_) pipeline_ = std::make_unique<core::StepPipeline>(chain_);
     pipeline_->run(iterations);
   }
 
@@ -59,12 +52,6 @@ class SeparationModel final : public ChainModel {
         chain_.system().positions(), chain_.system().colors());
   }
 
-  void set_pipeline_block(std::size_t block) override {
-    if (block == block_) return;
-    block_ = block;
-    pipeline_.reset();
-  }
-
   // Bandable: the band and the pipeline both rebuild their derived
   // occupancy state at every entry, so alternating band steps with
   // run()/measure() keeps every path byte-identical.
@@ -79,7 +66,6 @@ class SeparationModel final : public ChainModel {
  private:
   core::SeparationChain chain_;
   std::int64_t pmin_;
-  std::size_t block_;
   std::unique_ptr<core::StepPipeline> pipeline_;
 };
 
@@ -208,9 +194,8 @@ std::unique_ptr<ChainModel> build_separation(
 
 }  // namespace
 
-std::unique_ptr<ChainModel> make_separation(core::SeparationChain chain,
-                                            std::size_t pipeline_block) {
-  return std::make_unique<SeparationModel>(std::move(chain), pipeline_block);
+std::unique_ptr<ChainModel> make_separation(core::SeparationChain chain) {
+  return std::make_unique<SeparationModel>(std::move(chain));
 }
 
 const core::SeparationChain& separation_chain(const ChainModel& model) {

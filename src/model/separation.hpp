@@ -16,10 +16,9 @@ namespace sops::model {
 
 inline constexpr std::string_view kSeparationTag = "separation";
 
-/// Wraps an already-constructed chain. `pipeline_block` as in
-/// engine::ChainJob (0 = StepPipeline default; trajectory-neutral).
+/// Wraps an already-constructed chain.
 [[nodiscard]] std::unique_ptr<ChainModel> make_separation(
-    core::SeparationChain chain, std::size_t pipeline_block = 0);
+    core::SeparationChain chain);
 
 /// Downcast for separation-specific on_sample hooks (certificates,
 /// renders): the wrapped live chain, or ModelError if `model` is not

@@ -217,21 +217,6 @@ void ParticleSystem::apply_swap(ParticleIndex i, ParticleIndex j) {
   hetero_edges_ += het_after - het_before;
 }
 
-void ParticleSystem::apply_swap(ParticleIndex i, ParticleIndex j,
-                                std::int64_t hetero_delta) {
-  const Node a = position(i);
-  const Node b = position(j);
-  if (!lattice::adjacent(a, b)) {
-    throw std::invalid_argument("apply_swap: particles not adjacent");
-  }
-  if (color(i) == color(j)) return;  // configuration unchanged
-  positions_[static_cast<std::size_t>(i)] = b;
-  positions_[static_cast<std::size_t>(j)] = a;
-  occupancy_.insert(lattice::pack(a), j);
-  occupancy_.insert(lattice::pack(b), i);
-  hetero_edges_ += hetero_delta;
-}
-
 void ParticleSystem::apply_recolor(ParticleIndex i, Color c) {
   if (c >= kMaxColors) {
     throw std::invalid_argument("apply_recolor: color out of range");

@@ -115,13 +115,9 @@ class ParticleSystem {
     return neighbor_count_color(v, c, v);
   }
 
-  /// Cache hints for a proposal known ahead of time (the step pipeline's
-  /// speculative walk): pull in the occupancy-table probe line for `v`
-  /// and the positions-array entry for particle `i`. Pure hints — no
-  /// lookup counted, no state touched, safe on stale speculation.
-  void prefetch_occupancy(lattice::Node v) const noexcept {
-    index().prefetch(lattice::pack(v));
-  }
+  /// Cache hint for a proposal known ahead of time (the step pipeline's
+  /// speculative walk): pull in the positions-array entry for particle
+  /// `i`. Pure hint — no state touched, safe on stale speculation.
   void prefetch_position(ParticleIndex i) const noexcept {
 #if defined(__GNUC__) || defined(__clang__)
     __builtin_prefetch(&positions_[static_cast<std::size_t>(i)], 0, 1);
@@ -181,16 +177,12 @@ class ParticleSystem {
   /// Swaps the positions of two adjacent particles.
   void apply_swap(ParticleIndex i, ParticleIndex j);
 
-  /// Same swap, but with a caller-supplied h(σ) delta instead of the two
-  /// before/after recounts (2 × 2 × 6 occupancy probes). The delta of a
-  /// heterogeneous swap is a pure function of the gathered neighborhood:
-  /// exactly −NeighborhoodView::swap_exponent(). Same-color swaps are a
-  /// configuration no-op (delta ignored).
-  void apply_swap(ParticleIndex i, ParticleIndex j, std::int64_t hetero_delta);
-
-  /// The delta-fed apply_swap minus the adjacency check and the index
-  /// update (see apply_move_unchecked). Same-color swaps are a
-  /// configuration no-op and leave the index current.
+  /// apply_swap with a caller-supplied h(σ) delta instead of the two
+  /// before/after recounts, minus the adjacency check and the index
+  /// update (see apply_move_unchecked). The delta of a heterogeneous
+  /// swap is a pure function of the gathered neighborhood: exactly
+  /// −NeighborhoodView::swap_exponent(). Same-color swaps are a
+  /// configuration no-op (delta ignored) and leave the index current.
   void apply_swap_unchecked(ParticleIndex i, ParticleIndex j,
                             std::int64_t hetero_delta);
 

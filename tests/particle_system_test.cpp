@@ -134,7 +134,6 @@ TEST(ParticleSystemTest, SwapValidatesAdjacency) {
   const std::vector<Color> colors{0, 1};
   ParticleSystem sys(nodes, colors);
   EXPECT_THROW(sys.apply_swap(0, 1), std::invalid_argument);
-  EXPECT_THROW(sys.apply_swap(0, 1, 0), std::invalid_argument);
 }
 
 TEST(ParticleSystemTest, ColorHistogram) {
@@ -205,14 +204,15 @@ void expect_same_index(const ParticleSystem& a, const ParticleSystem& b,
   }
 }
 
-// Twin test for the delta-fed mutators the step pipeline and the
-// replica band drive: against a system mutated by the recounting
-// checked overloads, a churn of moves (deltas from a recount oracle)
-// and swaps (delta from the hetero recount identity) must stay
-// byte-identical in positions and edge bookkeeping. The delta-fed
-// checked overloads (the executors' FlatMap walks) keep the whole
-// index equal to the oracle's after every mutation. The unchecked pair
-// (their mirror/arena walks) leaves the index stale; after reindex() —
+// Twin test for the delta-fed mutators the step kernel and the
+// executors drive: against a system mutated by the recounting checked
+// overloads, a churn of moves (deltas from a recount oracle) and swaps
+// (delta from the hetero recount identity) must stay byte-identical in
+// positions and edge bookkeeping. The delta-fed checked apply_move
+// (step()'s move apply) keeps the whole index equal to the oracle's
+// after every mutation; its twin applies swaps through the plain
+// checked overload, as step() does. The unchecked pair (the
+// executors' mirror/arena walks) leaves the index stale; after reindex() —
 // issued after runs of 0..32 deferred mutations — the whole index must
 // equal the oracle's, at an unchanged capacity.
 TEST(ParticleSystemTest, UncheckedMutatorsMatchCheckedTwins) {
@@ -244,7 +244,7 @@ TEST(ParticleSystemTest, UncheckedMutatorsMatchCheckedTwins) {
     } else if (j != i) {
       const std::int64_t h0 = checked.hetero_edge_count();
       checked.apply_swap(i, j);
-      fed.apply_swap(i, j, checked.hetero_edge_count() - h0);
+      fed.apply_swap(i, j);
       unchecked.apply_swap_unchecked(i, j, checked.hetero_edge_count() - h0);
     }
     ASSERT_EQ(checked.positions(), fed.positions()) << "step " << step;

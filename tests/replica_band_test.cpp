@@ -3,8 +3,9 @@
 // by the same number of serial step() calls — same positions, colors,
 // edge counts, all eight counters, and post-run RNG state — at every
 // width, on every execution path (SIMD groups, lane pipelines over
-// their mirrors or the FlatMap), through ragged per-lane quotas, and
-// across arena re-centers and mid-run arena declines. This is the
+// their mirrors, step()'s own body over the FlatMap), through ragged
+// per-lane quotas, and across arena re-centers and mid-run arena
+// declines. This is the
 // contract that lets the ensemble group sweep replicas into bands.
 #include "src/core/replica_band.hpp"
 
@@ -308,11 +309,18 @@ TEST(ReplicaBand, OversizedBoundingBoxFallsBackToFlatMapGather) {
 // (each of their moves keeps one neighbor), and once one drifts into
 // its guard band the re-centered plane no longer fits: the arena is
 // declined mid-block, after the arena walks have already deferred index
-// updates on every lane. Each lane's stream is rewound to the ticks it
-// executed and its pipeline must take it over without perturbing a
-// byte. The ragged pass gives even lanes quotas of at most 8 steps and
-// odd lanes quotas above 128, so the decline lands in a block where the
-// lanes executed different tick counts (the even lanes had finished).
+// updates on every lane. The block is already decoded, so each lane
+// reindexes and finishes its remaining ticks through step()'s own body;
+// its pipeline takes over from the next block, and no byte may move.
+// Widths 8 and 16 cover the one- and two-group walker. At width 16 only
+// group A (lanes 0–7) carries the far dimer, so only group A can push
+// the plane past its cap; group B's dimer sits beside its blob. With
+// these seeds a group-B lane accepts on the tick whose group-A apply
+// declines the arena in the uniform pass, so skipping B's applies after
+// A's decline fails here. The ragged pass gives even lanes quotas of at
+// most 8 steps and odd lanes quotas above 128, so the decline lands in
+// a block where the lanes had executed different tick counts (the even
+// lanes had finished).
 TEST(ReplicaBand, ArenaDeclinedMidRunHandsOverToFlatMap) {
   auto nodes = lattice::compact_blob(60);
   int xmin = nodes[0].x, ymin = nodes[0].y, ymax = nodes[0].y;
@@ -325,38 +333,49 @@ TEST(ReplicaBand, ArenaDeclinedMidRunHandsOverToFlatMap) {
   // the dimer's right end on the widest column that still fits.
   const int h = (ymax - ymin + 1) + 16;
   const int right = xmin + (1 << 20) / h - 16 - 1;
+  std::vector<lattice::Node> near = nodes;
+  near.push_back(lattice::Node{xmin - 6, ymin});
+  near.push_back(lattice::Node{xmin - 5, ymin});
   nodes.push_back(lattice::Node{right - 1, ymin});
   nodes.push_back(lattice::Node{right, ymin});
   const Params params{4.0, 4.0, true};
-  for (const bool ragged : {false, true}) {
+  struct Pass {
+    std::size_t width;
+    bool ragged;
+  };
+  for (const Pass pass : {Pass{8, false}, Pass{8, true}, Pass{16, false},
+                          Pass{16, true}}) {
+    const std::size_t width = pass.width;
     std::vector<SeparationChain> banded;
     std::vector<SeparationChain> serial;
-    for (std::size_t r = 0; r < 8; ++r) {
-      util::Rng rng(88 + r);
-      const auto colors = balanced_random_colors(nodes.size(), 2, rng);
-      banded.emplace_back(ParticleSystem(nodes, colors), params, 88 + r);
-      serial.emplace_back(ParticleSystem(nodes, colors), params, 88 + r);
+    for (std::size_t r = 0; r < width; ++r) {
+      const std::uint64_t seed = r < 8 ? 88 + r : 188 + r;
+      const auto& at = r < 8 ? nodes : near;
+      util::Rng rng(seed);
+      const auto colors = balanced_random_colors(at.size(), 2, rng);
+      banded.emplace_back(ParticleSystem(at, colors), params, seed);
+      serial.emplace_back(ParticleSystem(at, colors), params, seed);
     }
     auto ptrs = pointers(banded);
     ReplicaBand band(ptrs);
     const bool arena = band.simd_enabled();
-    std::vector<std::uint64_t> total(8, 1);
+    std::vector<std::uint64_t> total(width, 1);
     band.run(1);
     if (arena) {
       ASSERT_EQ(band.stats().arena_rebuilds, 1u) << "plane over the cap";
     }
-    if (!ragged) {
+    if (!pass.ragged) {
       band.run(200000);
       for (std::uint64_t& t : total) t += 200000;
     } else {
-      std::uint64_t quotas[8];
+      std::vector<std::uint64_t> quotas(width);
       for (std::uint64_t call = 0; call < 1200; ++call) {
-        for (std::size_t r = 0; r < 8; ++r) {
+        for (std::size_t r = 0; r < width; ++r) {
           quotas[r] = r % 2 == 0 ? 1 + (call + r) % 8
                                  : 129 + (7 * call + r) % 128;
           total[r] += quotas[r];
         }
-        band.run(std::span<const std::uint64_t>(quotas, 8));
+        band.run(quotas);
       }
     }
     // The arena survives across calls, so the next entry rebuilds only
@@ -368,18 +387,58 @@ TEST(ReplicaBand, ArenaDeclinedMidRunHandsOverToFlatMap) {
     if (arena) {
       EXPECT_EQ(band.stats().arena_rebuilds, rebuilds)
           << "no dimer pushed the plane past the cap";
+      EXPECT_GT(band.stats().simd_steps, 0u);
     }
     EXPECT_GT(band.stats().reindexes, 0u);
-    // The rewind re-draws words the decode already counted: the tallies
-    // must still cover each step exactly once across both tiers.
+    // Each step ran exactly once, on one tier: the SIMD walk, or the
+    // scalar tier (the step_with() finish of the declined block, then
+    // the lane pipelines). Each tick's words were drawn once, by the
+    // block decode or by a pipeline refill.
     std::uint64_t steps = 0;
     for (const std::uint64_t t : total) steps += t;
     EXPECT_EQ(band.stats().simd_steps + band.stats().scalar_steps, steps);
     EXPECT_EQ(band.stats().refill_words, 3 * steps);
-    for (std::size_t r = 0; r < 8; ++r) {
+    for (std::size_t r = 0; r < width; ++r) {
       for (std::uint64_t i = 0; i < total[r]; ++i) serial[r].step();
-      const std::string what = std::string(ragged ? "ragged " : "") +
-                               "mid-run decline lane " + std::to_string(r);
+      const std::string what = "width " + std::to_string(width) +
+                               (pass.ragged ? " ragged" : "") +
+                               " mid-run decline lane " + std::to_string(r);
+      expect_same_state(serial[r], banded[r], what);
+      expect_rng_in_sync(serial[r], banded[r], what);
+    }
+  }
+}
+
+// xoshiro256++ puts out rotl(s0 + s3, 23) + s0, so a state {0, a, b, 0}
+// yields the word 0 first, and 0 lands in the Lemire rejection zone of
+// every bound that is not a power of two (here n = 120). One lane per
+// SIMD group starts there: the vector decode must detect the rejection
+// and replay that lane scalar — or, forced scalar, the lane's pipeline
+// must spill the redraw past its refilled block — leaving every lane
+// byte-identical to its twin and every word counted exactly once.
+TEST(ReplicaBand, LemireRejectionReplaysTheLaneExactly) {
+  const util::Rng::State reject_first{0, 0x9E3779B97F4A7C15ULL,
+                                      0xD1B54A32D192ED03ULL, 0};
+  for (const std::size_t width : {std::size_t{8}, std::size_t{16}}) {
+    auto banded = make_replicas(width, 120, 2, Params{4.0, 4.0, true}, 71);
+    auto serial = make_replicas(width, 120, 2, Params{4.0, 4.0, true}, 71);
+    for (std::size_t r = 3; r < width; r += 8) {
+      banded[r].set_rng_state(reject_first);
+      serial[r].set_rng_state(reject_first);
+    }
+    auto ptrs = pointers(banded);
+    ReplicaBand band(ptrs);
+    band.run(5000);
+    const ReplicaBand::Stats& st = band.stats();
+    EXPECT_EQ(st.refill_words, 3u * width * 5000u);
+    EXPECT_GT(st.tail_words, 0u);
+    if (ReplicaBand::auto_simd()) {
+      EXPECT_EQ(st.simd_steps, width * 5000u);
+    }
+    for (std::size_t r = 0; r < width; ++r) {
+      for (int i = 0; i < 5000; ++i) serial[r].step();
+      const std::string what = "width " + std::to_string(width) +
+                               " rejection lane " + std::to_string(r);
       expect_same_state(serial[r], banded[r], what);
       expect_rng_in_sync(serial[r], banded[r], what);
     }

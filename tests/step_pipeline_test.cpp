@@ -183,6 +183,28 @@ TEST(StepPipeline, StatsAccountForEveryProposal) {
   EXPECT_EQ(st.blocks, (50000u + 127u) / 128u);
 }
 
+// xoshiro256++ puts out rotl(s0 + s3, 23) + s0, so a state {0, a, b, 0}
+// yields the word 0 first, and 0 lands in the Lemire rejection zone of
+// every bound that is not a power of two (here n = 120). The decode
+// must redraw, spilling one word past the refilled block, and still
+// match step() word for word.
+TEST(StepPipeline, LemireRejectionSpillsPastTheBlock) {
+  const util::Rng::State reject_first{0, 0x9E3779B97F4A7C15ULL,
+                                      0xD1B54A32D192ED03ULL, 0};
+  const Setting& s = kSettings[0];
+  SeparationChain serial = make_chain(s.n, s.k, s.params, s.seed);
+  SeparationChain piped = make_chain(s.n, s.k, s.params, s.seed);
+  serial.set_rng_state(reject_first);
+  piped.set_rng_state(reject_first);
+  StepPipeline pipeline(piped);
+  pipeline.run(5000);
+  for (int i = 0; i < 5000; ++i) serial.step();
+  EXPECT_EQ(pipeline.stats().refill_words, 3u * 5000u);
+  EXPECT_GT(pipeline.stats().tail_words, 0u);
+  expect_same_state(serial, piped, "rejection-first trajectory");
+  expect_rng_in_sync(serial, piped);
+}
+
 // The 8-proposal window gather must actually engage on SIMD hardware
 // (and stay off under SOPS_FORCE_SCALAR / non-AVX2 CPUs), while the
 // hit/miss ledger keeps accounting for every proposal either way.
@@ -286,8 +308,8 @@ TEST(StepPipeline, DriftingBlobRecentersTheMirror) {
 }
 
 // A far-away outlier makes the bounding box uneconomical: the pipeline
-// must decline the mirror and run the whole trajectory through the
-// FlatMap gather path, still byte-identical to step().
+// must decline the mirror and run the whole trajectory through step()'s
+// own body over the FlatMap, still byte-identical to step().
 TEST(StepPipeline, OversizedBoundingBoxFallsBackToFlatMapGather) {
   util::Rng rng(77);
   auto nodes = lattice::random_blob(60, rng);
@@ -300,7 +322,7 @@ TEST(StepPipeline, OversizedBoundingBoxFallsBackToFlatMapGather) {
   for (int i = 0; i < 30000; ++i) serial.step();
   pipeline.run(30000);
   EXPECT_EQ(pipeline.stats().mirror_rebuilds, 0u);
-  // The FlatMap walk keeps the index current itself: nothing to rebuild.
+  // step_with() keeps the index current itself: nothing to rebuild.
   EXPECT_EQ(pipeline.stats().reindexes, 0u);
   expect_same_state(serial, piped, "disconnected-outlier trajectory");
   expect_rng_in_sync(serial, piped);
@@ -310,8 +332,8 @@ TEST(StepPipeline, OversizedBoundingBoxFallsBackToFlatMapGather) {
 // just under its cell cap. The dimer rolls freely (each of its moves
 // keeps one neighbor), and once it drifts into the guard band the
 // re-centered box no longer fits: the mirror is declined mid-run, after
-// the mirrored walk has already deferred index updates, and the FlatMap
-// walk must take over from a rebuilt index without perturbing a byte.
+// the mirrored walk has already deferred index updates, and step_with()
+// must finish the run from a rebuilt index without perturbing a byte.
 TEST(StepPipeline, MirrorDeclinedMidRunHandsOverToFlatMap) {
   util::Rng rng(88);
   auto nodes = lattice::compact_blob(60);
