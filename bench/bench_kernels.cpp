@@ -44,9 +44,10 @@ core::SeparationChain make_chain(std::size_t n, std::uint64_t seed,
 // toward it (the configuration keeps evolving *during* measurement, and
 // without burn-in the early, uncompressed part of the trajectory — with
 // its different move/swap mix — would dominate the comparison). The
-// probes_per_step counter is the per-iteration delta of occupancy-table
-// lookups: the single-gather kernel should sit near 10, the reference
-// path near 30-40.
+// probes_per_step counter is the per-iteration delta of page-directory
+// probes: the single-gather kernel reads the proposer's page directly
+// and sits near 0 (only moves into an unlinked page probe), the
+// reference path, whose every node query probes, near 30-40.
 constexpr std::uint64_t kStepBurnIn = 50'000;
 
 template <bool kReference>
@@ -54,7 +55,7 @@ void chain_step_impl(benchmark::State& state) {
   core::SeparationChain chain =
       make_chain(static_cast<std::size_t>(state.range(0)), 42);
   chain.run(kStepBurnIn);
-  const std::uint64_t probes_before = chain.system().occupancy_lookups();
+  const std::uint64_t probes_before = chain.system().directory_probes();
   for (auto _ : state) {
     if constexpr (kReference) {
       benchmark::DoNotOptimize(chain.step_reference());
@@ -65,7 +66,7 @@ void chain_step_impl(benchmark::State& state) {
   const auto iters = static_cast<std::int64_t>(state.iterations());
   state.SetItemsProcessed(iters);
   state.counters["probes_per_step"] = benchmark::Counter(
-      static_cast<double>(chain.system().occupancy_lookups() - probes_before) /
+      static_cast<double>(chain.system().directory_probes() - probes_before) /
       static_cast<double>(state.iterations()));
 }
 
@@ -82,9 +83,7 @@ BENCHMARK(BM_ChainStep_Reference)->Arg(50)->Arg(100)->Arg(400)->Arg(1600);
 // = chain steps. Arg pair = (n, pipeline block size); each timing
 // iteration advances the trajectory by one fixed 4096-step chunk so the
 // per-iteration work is identical across block sizes and the comparison
-// against BM_ChainStep is steps-for-steps. The reindexes counter is
-// StepPipeline::Stats::reindexes: one occupancy-index rebuild per chunk
-// that accepted anything.
+// against BM_ChainStep is steps-for-steps.
 constexpr std::uint64_t kPipelineChunk = 4096;
 
 void run_pipeline(benchmark::State& state, double gamma) {
@@ -93,7 +92,7 @@ void run_pipeline(benchmark::State& state, double gamma) {
   chain.run(kStepBurnIn);
   core::StepPipeline pipeline(chain,
                               static_cast<std::size_t>(state.range(1)));
-  const std::uint64_t probes_before = chain.system().occupancy_lookups();
+  const std::uint64_t probes_before = chain.system().directory_probes();
   for (auto _ : state) {
     pipeline.run(kPipelineChunk);
   }
@@ -101,10 +100,8 @@ void run_pipeline(benchmark::State& state, double gamma) {
                      static_cast<std::int64_t>(kPipelineChunk);
   state.SetItemsProcessed(steps);
   state.counters["probes_per_step"] = benchmark::Counter(
-      static_cast<double>(chain.system().occupancy_lookups() - probes_before) /
+      static_cast<double>(chain.system().directory_probes() - probes_before) /
       static_cast<double>(steps));
-  state.counters["reindexes"] =
-      benchmark::Counter(static_cast<double>(pipeline.stats().reindexes));
 }
 
 void BM_RunPipeline(benchmark::State& state) { run_pipeline(state, 4.0); }
@@ -135,8 +132,8 @@ BENCHMARK(BM_RunPipeline_Gamma1)->ArgPair(400, 256)->ArgPair(2000, 256);
 // simd_fraction is the share of steps actually executed on the SIMD
 // path (lanes outside a full 8-lane group and declined arenas run
 // through per-lane pipelines and drag it below 1), the coverage number
-// the snapshot script's --counters gate checks. arena_rebuilds,
-// reindexes and tail_words surface ReplicaBand::Stats so a
+// the snapshot script's --counters gate checks. arena_rebuilds and
+// tail_words surface ReplicaBand::Stats so a
 // drift-rebuild storm or Lemire-spill anomaly shows up in the snapshot
 // rather than as an unexplained slowdown.
 void replica_band(benchmark::State& state, double gamma) {
@@ -175,8 +172,6 @@ void replica_band(benchmark::State& state, double gamma) {
       executed > 0.0 ? static_cast<double>(st.simd_steps) / executed : 0.0);
   state.counters["arena_rebuilds"] =
       benchmark::Counter(static_cast<double>(st.arena_rebuilds));
-  state.counters["reindexes"] =
-      benchmark::Counter(static_cast<double>(st.reindexes));
   state.counters["tail_words"] =
       benchmark::Counter(static_cast<double>(st.tail_words));
   state.counters["accept_rate"] = benchmark::Counter(
@@ -238,7 +233,7 @@ void BM_NeighborhoodGather(benchmark::State& state) {
     const auto i =
         static_cast<system::ParticleIndex>(rng.below(sys.size()));
     const int dir = static_cast<int>(rng.below(6));
-    benchmark::DoNotOptimize(sys.gather_neighborhood(sys.position(i), dir, i));
+    benchmark::DoNotOptimize(sys.gather_neighborhood(i, dir));
   }
 }
 BENCHMARK(BM_NeighborhoodGather);

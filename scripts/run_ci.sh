@@ -31,11 +31,11 @@
 #   SOPS_CI_ASAN      set to 0 to skip the sanitizer tier, which runs by
 #                     default: configure a -DSOPS_SANITIZE=address,undefined
 #                     tree with assertions on in <build-dir>-asan and run
-#                     ctest -L 'core|checkpoint|shard|service|model', the
-#                     particle-system suite, and the band and pipeline
+#                     ctest -L 'core|checkpoint|shard|service|model' and
+#                     the particle-system (grid audit), band and pipeline
 #                     suites under SOPS_FORCE_SCALAR=1 there (the SIMD
 #                     gathers compute addresses by hand; the asserts
-#                     include ParticleSystem's stale-index guard)
+#                     include the grid mutators' preconditions)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,18 +55,20 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 echo "== ctest model tier (registry + alignment seam)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs" -L model
 
-echo "== replica-band + step-pipeline scalar fallback (SOPS_FORCE_SCALAR=1)"
+echo "== grid audit + replica-band + step-pipeline scalar fallback (SOPS_FORCE_SCALAR=1)"
 # The default ctest pass above exercises the AVX2 path (on hardware that
 # has it); this one pins the scalar fallback to the same byte-identity
 # contract. The binary runs directly because the ctest registrations
 # were discovered without the env override.
+SOPS_FORCE_SCALAR=1 "$build_dir"/tests/particle_system_test \
+  --gtest_brief=1
 SOPS_FORCE_SCALAR=1 "$build_dir"/tests/replica_band_test \
   --gtest_brief=1
 SOPS_FORCE_SCALAR=1 "$build_dir"/tests/step_pipeline_test \
   --gtest_brief=1
 SOPS_FORCE_SCALAR=1 "$build_dir"/tests/engine_test \
   --gtest_brief=1 --gtest_filter='Ensemble.Banded*'
-echo "ok: band and pipeline equivalence tests pass with SIMD disabled"
+echo "ok: grid audit, band and pipeline equivalence tests pass with SIMD disabled"
 
 echo "== alignment smoke (report vs committed golden)"
 "$build_dir"/bench/bench_alignment_phase_diagram --threads 1 \
@@ -126,7 +128,8 @@ if [[ ${SOPS_CI_ASAN:-1} != 0 ]]; then
   export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   ctest --test-dir "${build_dir}-asan" --output-on-failure -j "$jobs" \
     -L 'core|checkpoint|shard|service|model'
-  "${build_dir}-asan"/tests/particle_system_test --gtest_brief=1
+  SOPS_FORCE_SCALAR=1 "${build_dir}-asan"/tests/particle_system_test \
+    --gtest_brief=1
   SOPS_FORCE_SCALAR=1 "${build_dir}-asan"/tests/replica_band_test \
     --gtest_brief=1
   SOPS_FORCE_SCALAR=1 "${build_dir}-asan"/tests/step_pipeline_test \

@@ -190,7 +190,7 @@ std::vector<std::string_view> expect_line(Lines& lines,
   return tokens;
 }
 
-// Shared by both versions: the measurement series block.
+// The measurement series block.
 void decode_series(Lines& lines, Snapshot& snap) {
   const auto tokens = expect_line(lines, "series", 2);
   const std::uint64_t count = get_u64(tokens[1], lines.line_no());
@@ -224,85 +224,6 @@ void decode_aux(Lines& lines, Snapshot& snap) {
   }
   if (!snap.aux.empty() && !snap.complete) {
     bad(lines.line_no(), "partial snapshots must not carry aux values");
-  }
-}
-
-// v1 body: typed separation fields (params/rng/counters + particle
-// list). Parsed with the original grammar, then lifted into the
-// separation model's state-line block so the rest of the stack sees one
-// representation. The lift re-serializes through the same hexfloat/hex
-// formatters that wrote the v1 file, so values stay bit-exact.
-void decode_v1_body(Lines& lines, Snapshot& snap) {
-  double lambda = 0.0;
-  double gamma = 0.0;
-  bool swaps_enabled = true;
-  util::Rng::State rng{};
-  core::SeparationChain::Counters counters;
-  std::vector<lattice::Node> positions;
-  std::vector<system::Color> colors;
-
-  {
-    const auto tokens = expect_line(lines, "params", 4);
-    lambda = get_double(tokens[1], lines.line_no());
-    gamma = get_double(tokens[2], lines.line_no());
-    if (tokens[3] == "1") {
-      swaps_enabled = true;
-    } else if (tokens[3] == "0") {
-      swaps_enabled = false;
-    } else {
-      bad(lines.line_no(), "swaps flag must be 0 or 1");
-    }
-  }
-  {
-    const auto tokens = expect_line(lines, "rng", 5);
-    for (std::size_t i = 0; i < 4; ++i) {
-      rng[i] = get_hex16(tokens[1 + i], lines.line_no());
-    }
-  }
-  {
-    const auto tokens = expect_line(lines, "counters", 9);
-    counters.steps = get_u64(tokens[1], lines.line_no());
-    counters.move_proposals = get_u64(tokens[2], lines.line_no());
-    counters.moves_accepted = get_u64(tokens[3], lines.line_no());
-    counters.rejected_five = get_u64(tokens[4], lines.line_no());
-    counters.rejected_locality = get_u64(tokens[5], lines.line_no());
-    counters.rejected_metropolis = get_u64(tokens[6], lines.line_no());
-    counters.swap_proposals = get_u64(tokens[7], lines.line_no());
-    counters.swaps_accepted = get_u64(tokens[8], lines.line_no());
-  }
-  decode_series(lines, snap);
-  decode_aux(lines, snap);
-  {
-    const auto tokens = expect_line(lines, "particles", 2);
-    const std::uint64_t count = get_u64(tokens[1], lines.line_no());
-    positions.reserve(count);
-    colors.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const auto p = expect_line(lines, "p", 4);
-      lattice::Node node;
-      const std::int64_t x = get_i64(p[1], lines.line_no());
-      const std::int64_t y = get_i64(p[2], lines.line_no());
-      if (x < INT32_MIN || x > INT32_MAX || y < INT32_MIN || y > INT32_MAX) {
-        bad(lines.line_no(), "particle coordinate out of int32 range");
-      }
-      node.x = static_cast<std::int32_t>(x);
-      node.y = static_cast<std::int32_t>(y);
-      const std::uint64_t color = get_u64(p[3], lines.line_no());
-      if (color >= system::kMaxColors) {
-        bad(lines.line_no(), "particle color out of range");
-      }
-      positions.push_back(node);
-      colors.push_back(static_cast<system::Color>(color));
-    }
-  }
-
-  snap.model = "separation";
-  if (rng == util::Rng::State{} && positions.empty()) {
-    // v1 stateless completion snapshot (fn-backed task): no live state.
-    snap.state.clear();
-  } else {
-    snap.state = model::encode_separation_state(
-        lambda, gamma, swaps_enabled, rng, counters, positions, colors);
   }
 }
 
@@ -491,12 +412,10 @@ Snapshot decode(std::string_view text) {
     const auto tokens = expect_line(lines, "job", 2);
     snap.job = std::string(tokens[1]);
   }
-  if (version >= 2) {
+  {
     const auto tokens = expect_line(lines, "model", 2);
     snap.model = std::string(tokens[1]);
   }
-  // v1 predates multi-model jobs; every v1 snapshot is a separation
-  // snapshot (the struct default, re-stamped by decode_v1_body).
   {
     const auto tokens = expect_line(lines, "spec", 2);
     snap.spec_hash = get_hex16(tokens[1], lines.line_no());
@@ -516,11 +435,7 @@ Snapshot decode(std::string_view text) {
       bad(lines.line_no(), "status must be 'partial' or 'complete'");
     }
   }
-  if (version == 1) {
-    decode_v1_body(lines, snap);
-  } else {
-    decode_v2_body(lines, snap);
-  }
+  decode_v2_body(lines, snap);
   expect_line(lines, "checksum", 2);  // verified above; consume in sequence
   {
     const auto tokens = expect_line(lines, "end", 1);

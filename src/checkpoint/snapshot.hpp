@@ -52,8 +52,9 @@ namespace sops::checkpoint {
 // model-generic.
 inline constexpr std::uint32_t kSnapshotVersion = 2;
 
-// Oldest version read_snapshot()/decode() still accept.
-inline constexpr std::uint32_t kSnapshotVersionMin = 1;
+// Oldest version read_snapshot()/decode() still accept: no v1 file is
+// produced or kept any more.
+inline constexpr std::uint32_t kSnapshotVersionMin = 2;
 
 /// Malformed snapshot input. `what()` names the offending line or field.
 class SnapshotError : public std::runtime_error {

@@ -98,48 +98,6 @@ bool SeparationChain::step() {
   return step_with(pi, dir, q);
 }
 
-bool SeparationChain::step_with(ParticleIndex pi, int dir, double q) {
-  ++counters_.steps;
-  const Node l = sys_.position(pi);
-  const NeighborhoodView nb = NeighborhoodView::gather(sys_, l, dir, pi);
-
-  if (!nb.lp_occupied()) {
-    ++counters_.move_proposals;
-    const Color ci = sys_.color(pi);
-    const int e = nb.e();
-    if (e == 5) {
-      ++counters_.rejected_five;
-      return false;
-    }
-    if (!nb.move_locality_ok()) {
-      ++counters_.rejected_locality;
-      return false;
-    }
-    const int ei = nb.e_i(ci);
-    const int ep = nb.e_prime();
-    const int epi = nb.e_prime_i(ci);
-    if (q >= pow_lambda(ep - e) * pow_gamma(epi - ei)) {
-      ++counters_.rejected_metropolis;
-      return false;
-    }
-    // The gather already determines both bookkeeping deltas: the move
-    // gains e' − e edges and (e' − e'_i) − (e − e_i) heterogeneous ones.
-    sys_.apply_move(pi, lattice::neighbor(l, dir), ep - e,
-                    (ep - epi) - (e - ei));
-    ++counters_.moves_accepted;
-    return true;
-  }
-
-  if (!params_.swaps_enabled) return false;
-  ++counters_.swap_proposals;
-  const Color ci = sys_.color(pi);
-  const Color cj = sys_.color(nb.p_at_lp);
-  if (q >= pow_gamma(nb.swap_exponent())) return false;
-  sys_.apply_swap(pi, nb.p_at_lp);
-  ++counters_.swaps_accepted;
-  return ci != cj;
-}
-
 bool SeparationChain::step_reference() {
   ++counters_.steps;
   const auto pi = static_cast<ParticleIndex>(rng_.below(sys_.size()));

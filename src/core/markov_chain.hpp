@@ -17,6 +17,7 @@
 #include <cstdint>
 
 #include "src/core/locality.hpp"
+#include "src/core/neighborhood.hpp"
 #include "src/sops/particle_system.hpp"
 #include "src/util/rng.hpp"
 
@@ -113,21 +114,21 @@ class SeparationChain {
   void set_counters(const Counters& c) noexcept { counters_ = c; }
 
  private:
-  // The pipeline is the run loop: it reads rng_/sys_/params_, the
-  // Metropolis pow tables, and flushes block-local counters into
-  // counters_. step() stays the single-step reference twin. The
-  // replica band (replica_band.hpp) advances whole groups of sibling
-  // chains lock-step under the same contract. Both hand decoded
-  // proposals to step_with() when their occupancy copy is down.
+  // The pipeline is the run loop: it reads rng_/sys_/params_ and feeds
+  // its decoded proposals to step_with(). step() stays the single-step
+  // reference twin. The replica band (replica_band.hpp) advances whole
+  // groups of sibling chains lock-step under the same contract.
   friend class StepPipeline;
   friend class ReplicaBand;
 
   /// The body of step() for an already-drawn proposal: particle `pi`,
-  /// direction `dir`, Metropolis draw `q`. Reads and updates occupancy
-  /// through the FlatMap index, which must be current. The executors
-  /// finish a block through it once their mirror or arena is down, so
-  /// it is the only code that walks the FlatMap.
-  bool step_with(system::ParticleIndex pi, int dir, double q);
+  /// direction `dir`, Metropolis draw `q`. `pre`, when given, is the
+  /// proposal's neighborhood as gathered against the current
+  /// configuration (the pipeline's window); otherwise the body gathers
+  /// it from the grid. This is the one decide/apply body of the chain:
+  /// step() and the pipeline both run it.
+  bool step_with(system::ParticleIndex pi, int dir, double q,
+                 const system::NeighborhoodGather* pre = nullptr);
 
   [[nodiscard]] double pow_lambda(int k) const noexcept {
     return pow_lambda_[static_cast<std::size_t>(k + kMaxExp)];
@@ -147,6 +148,52 @@ class SeparationChain {
   double pow_lambda_[2 * kMaxExp + 1];
   double pow_gamma_[2 * kMaxExp + 1];
 };
+
+inline bool SeparationChain::step_with(system::ParticleIndex pi, int dir,
+                                       double q,
+                                       const system::NeighborhoodGather* pre) {
+  ++counters_.steps;
+  const NeighborhoodView nb{pre != nullptr ? *pre
+                                           : sys_.gather_neighborhood(pi, dir)};
+
+  if (!nb.lp_occupied()) {
+    ++counters_.move_proposals;
+    const system::Color ci = nb.color_at(NeighborhoodView::kNodeL);
+    const int e = nb.e();
+    if (e == 5) {
+      ++counters_.rejected_five;
+      return false;
+    }
+    if (!nb.move_locality_ok()) {
+      ++counters_.rejected_locality;
+      return false;
+    }
+    const int ei = nb.e_i(ci);
+    const int ep = nb.e_prime();
+    const int epi = nb.e_prime_i(ci);
+    if (q >= pow_lambda(ep - e) * pow_gamma(epi - ei)) {
+      ++counters_.rejected_metropolis;
+      return false;
+    }
+    // The gather already determines both bookkeeping deltas: the move
+    // gains e' − e edges and (e' − e'_i) − (e − e_i) heterogeneous ones.
+    sys_.apply_move(pi, lattice::neighbor(sys_.position(pi), dir), ep - e,
+                    (ep - epi) - (e - ei));
+    ++counters_.moves_accepted;
+    return true;
+  }
+
+  if (!params_.swaps_enabled) return false;
+  ++counters_.swap_proposals;
+  const int sx = nb.swap_exponent();
+  if (q >= pow_gamma(sx)) return false;
+  // A heterogeneous swap changes h(σ) by exactly −sx; a same-color swap
+  // is a configuration no-op.
+  sys_.apply_swap(pi, nb.p_at_lp, -sx);
+  ++counters_.swaps_accepted;
+  return nb.color_at(NeighborhoodView::kNodeL) !=
+         nb.color_at(NeighborhoodView::kNodeLp);
+}
 
 /// The PODC '16 compression chain: M with γ = 1 on a homogeneous system.
 [[nodiscard]] SeparationChain make_compression_chain(

@@ -154,14 +154,6 @@ struct NeighborhoodView : system::NeighborhoodGather {
     return NeighborhoodView{sys.gather_neighborhood(l, dir)};
   }
 
-  /// Gather when the caller already holds the particle index at l (the
-  /// chain always does) — saves one probe.
-  [[nodiscard]] static NeighborhoodView gather(
-      const system::ParticleSystem& sys, lattice::Node l, int dir,
-      system::ParticleIndex p_at_l) noexcept {
-    return NeighborhoodView{sys.gather_neighborhood(l, dir, p_at_l)};
-  }
-
   [[nodiscard]] bool node_occupied(int i) const noexcept {
     return (occ >> i) & 1u;
   }

@@ -444,7 +444,9 @@ void ReplicaBand::run(std::span<const std::uint64_t> quotas) {
     // step counters are monotone, so comparing them against the counts
     // recorded at the last sync detects any interleaved serial stepping
     // (see invalidate_arena() for the one case it cannot see).
-    bool fresh = arena_ok_ && arena_synced_;
+    // A refusal is recorded the same way, so a band whose arena was
+    // refused or declined does not rescan its lanes on every call.
+    bool fresh = arena_synced_;
     for (std::size_t r = 0; fresh && r < G; ++r) {
       fresh = chains_[r]->counters_.steps == synced_steps_[r];
     }
@@ -472,14 +474,10 @@ void ReplicaBand::run(std::span<const std::uint64_t> quotas) {
   for (std::size_t r = 0; r < width(); ++r) {
     if (rem[r] > 0) run_lane(r, rem[r]);
   }
-  // The arena walks applied their accepts without touching the group
-  // lanes' occupancy indexes; one rebuild per lane hands them back
-  // current (a no-op for a lane its pipeline already reindexed).
   for (std::size_t r = 0; r < G; ++r) {
     synced_steps_[r] = chains_[r]->counters_.steps;
-    stats_.reindexes += chains_[r]->sys_.reindex();
   }
-  arena_synced_ = arena_ok_;
+  arena_synced_ = true;
 }
 
 void ReplicaBand::run_lane(std::size_t r, std::uint64_t steps) {
@@ -490,7 +488,6 @@ void ReplicaBand::run_lane(std::size_t r, std::uint64_t steps) {
   const StepPipeline::Stats& after = pipe->stats();
   stats_.refill_words += after.refill_words - before.refill_words;
   stats_.tail_words += after.tail_words - before.tail_words;
-  stats_.reindexes += after.reindexes - before.reindexes;
   stats_.scalar_steps += steps;
 }
 
@@ -524,10 +521,9 @@ void ReplicaBand::fill_arena(std::vector<Cell>& cells, std::int64_t plane) {
 void ReplicaBand::rebuild_arena() {
   arena_ok_ = false;
   const std::size_t G = group_lanes_;
+  // ParticleSystem's page-pool cap keeps n + 1 inside the wide index
+  // field, and so n below the 2^24 the vector decode requires.
   const std::size_t n = chains_[0]->sys_.size();
-  // The wide index field also keeps n below the 2^24 the vector decode
-  // requires.
-  if (n == 0 || n + 1 > cell::kWideIndexMask) return;
 
   std::int64_t wmax = 0;
   std::int64_t hmax = 0;
@@ -544,18 +540,19 @@ void ReplicaBand::rebuild_arena() {
       ymin = std::min<std::int64_t>(ymin, v.y);
       ymax = std::max<std::int64_t>(ymax, v.y);
     }
-    x0_[r] = xmin - cell::kMargin;
-    y0_[r] = ymin - cell::kMargin;
-    wmax = std::max(wmax, (xmax - xmin + 1) + 2 * cell::kMargin);
-    hmax = std::max(hmax, (ymax - ymin + 1) + 2 * cell::kMargin);
+    x0_[r] = xmin - kMargin;
+    y0_[r] = ymin - kMargin;
+    wmax = std::max(wmax, (xmax - xmin + 1) + 2 * kMargin);
+    hmax = std::max(hmax, (ymax - ymin + 1) + 2 * kMargin);
   }
-  // The pipeline mirror's economy rule, on the shared extent: refuse
-  // pathological boxes and let the lane pipelines carry them. The
-  // kIdxBits bound keeps every packed cell address inside its field.
+  // The box rule on the shared extent: refuse pathological boxes and
+  // let the lane pipelines carry them. The kIdxBits bound keeps every
+  // packed cell address inside its field.
   const std::int64_t plane = wmax * hmax;
-  if (plane > cell::plane_cap(n)) return;
-  if (plane * static_cast<std::int64_t>(G) >
-      static_cast<std::int64_t>(kIdxMask)) {
+  if (plane > plane_cap(n) ||
+      plane * static_cast<std::int64_t>(G) >
+          static_cast<std::int64_t>(kIdxMask)) {
+    ++stats_.arena_refusals;
     return;
   }
 
@@ -620,11 +617,10 @@ void ReplicaBand::run_block(const std::size_t* active) {
   // A drift rebuild declined the arena mid-block. Every lane's block is
   // decoded and its stream already sits past its last tick, so step()'s
   // own body finishes the remaining ticks from the decoded proposals,
-  // over the lane's FlatMap index brought current first.
+  // over the lane's grid, which every accept kept current.
   for (std::size_t r = 0; r < G; ++r) {
     if (done[r] == active[r]) continue;
     SeparationChain& chain = *chains_[r];
-    stats_.reindexes += chain.sys_.reindex();
     for (std::size_t t = done[r]; t < active[r]; ++t) {
       chain.step_with(static_cast<ParticleIndex>(pi_[t * W + r]),
                       static_cast<int>(dir_[t * W + r]),
@@ -667,14 +663,13 @@ void ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
   constexpr int kNibShift = cell::kNibbleShift<Cell>;
   const std::size_t W = width();
 
-  // Apply accepted lanes scalar through the same unchecked mutators the
-  // pipeline's mirrored walk uses: positions and edge counts only, the
-  // lane's occupancy index waits for the next reindex. Arena addresses
-  // are re-read from the live packed SoA (an earlier lane's drift
-  // rebuild may have re-centered the planes); a declined rebuild
-  // finishes the tick's remaining applies without the arena — the
-  // decisions are already made — and the caller finishes the rest of
-  // the block through step_with().
+  // Apply accepted lanes scalar through the delta-fed mutators step()
+  // uses, which keep each lane's own grid current, then mirror the
+  // accept into the arena. Arena addresses are re-read from the live
+  // packed SoA (an earlier lane's drift rebuild may have re-centered
+  // the planes); a declined rebuild finishes the tick's remaining
+  // applies without the arena — the decisions are already made — and
+  // the caller finishes the rest of the block through step_with().
   for (int m = mm_macc; m != 0; m &= m - 1) {
     const int j = std::countr_zero(static_cast<unsigned>(m));
     const std::size_t r = g8 + static_cast<std::size_t>(j);
@@ -682,7 +677,7 @@ void ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
     const auto pi = static_cast<ParticleIndex>(sp.pi[j]);
     const Node l = sys.position(pi);
     const Node dst = lattice::neighbor(l, static_cast<int>(sp.dir[j]));
-    sys.apply_move_unchecked(pi, dst, sp.de[j], sp.dh[j]);
+    sys.apply_move(pi, dst, sp.de[j], sp.dh[j]);
     if (!arena_ok_) continue;
     Cell* const cl = kCompact
                          ? reinterpret_cast<Cell*>(cells16_.data())
@@ -696,10 +691,8 @@ void ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
     cl[base] = 0;
     pcell_[soa] = static_cast<std::int32_t>(
         (pc & ~kIdxMask) | static_cast<std::uint32_t>(lp_cell));
-    if (dst.x - x0_[r] < cell::kSlack ||
-        x0_[r] + w_ - 1 - dst.x < cell::kSlack ||
-        dst.y - y0_[r] < cell::kSlack ||
-        y0_[r] + h_ - 1 - dst.y < cell::kSlack) {
+    if (dst.x - x0_[r] < kSlack || x0_[r] + w_ - 1 - dst.x < kSlack ||
+        dst.y - y0_[r] < kSlack || y0_[r] + h_ - 1 - dst.y < kSlack) {
       rebuild_arena();
     }
   }
@@ -717,10 +710,10 @@ void ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
             kCompact ? ((lpc >> 16) & cell::kCompactIndexMask)
                      : (lpc & cell::kWideIndexMask)) -
         1;
-    sys.apply_swap_unchecked(pi, qj, -sp.sx[j]);
+    sys.apply_swap(pi, qj, -sp.sx[j]);
     if (!arena_ok_) continue;
     // The mirror exchange masks to a no-op for same-color swaps,
-    // matching apply_swap_unchecked leaving the positions untouched.
+    // matching apply_swap leaving the positions untouched.
     Cell* const cl = kCompact
                          ? reinterpret_cast<Cell*>(cells16_.data())
                          : reinterpret_cast<Cell*>(cells_.data());

@@ -35,19 +35,16 @@
 //    lane to step()'s `q >= λ^Δe · γ^Δe_i` (resp. `q >= γ^sx`) test.
 //    Lanes whose step quota ran out mid-block are masked off inside
 //    the tick instead of demoting the group, so ragged quotas stay
-//    vectorized. Accepted lanes apply scalar through the same
-//    *_unchecked mutators the pipeline's mirrored walk uses: they write
-//    positions and edge counts but not the system's FlatMap index.
+//    vectorized. Accepted lanes apply scalar through the delta-fed
+//    mutators step() uses, which keep the lane's own paged grid
+//    (particle_system.hpp) current, and are mirrored into the arena.
+//    Nothing is left to repair when run() returns.
 //
-// Within run() the arena is the only occupancy structure kept current
-// for the lanes of full groups. Each such lane's FlatMap index is
-// rebuilt once at run() exit.
-//
-// Arena cells use the layouts of cell_codec.hpp, fixed by n at
+// Arena cells use the layouts of src/sops/cell_codec.hpp, fixed by n at
 // construction: the compact 16-bit encoding (index+1 in 12 bits, color
 // nibble at 12..15) whenever n + 1 fits its index field, halving the
 // per-plane footprint so even eight n=1600 planes stay cache-resident;
-// the wide 32-bit encoding (the pipeline mirror's) above n = 4094. A
+// the wide 32-bit encoding (the grid's) above n = 4094. A
 // band's n never changes, so neither does its layout. Compact cells are
 // gathered pairwise with scale-2 epi32 gathers and widened in-register
 // — one shift normalizes either layout to the same top-nibble form, so
@@ -61,16 +58,25 @@
 // checks the arena. Lanes are independent chains, so the pairing
 // changes instruction scheduling only, never any lane's trajectory.
 //
+// The arena is a bounding-box structure and keeps the box rule: each
+// plane spans its lane's particles plus kMargin cells on every side, a
+// move landing within kSlack (> the gather's 2-cell reach) of the edge
+// re-centers the planes, and a plane above plane_cap(n) cells is
+// refused — connected blobs stay far below it, disconnected outliers
+// can blow the box up without bound.
+//
 // Dispatch is runtime: the SIMD path engages only when the CPU reports
 // AVX2, `SOPS_FORCE_SCALAR` is not set, and the arena covers every
 // group lane's bounding box economically. Every lane outside a full
 // 8-lane group runs through its own StepPipeline (step_pipeline.hpp),
 // built on first use, for its whole remaining quota: Mode::kScalar and
 // non-AVX2 hosts, the W % 8 remainder lanes, and group lanes whose
-// arena is refused at entry or was declined. When a drift rebuild
+// arena is refused at entry or was declined. A refusal is recorded
+// like a built arena, so later run() calls rescan only after a lane
+// stepped outside the band or invalidate_arena(). When a drift rebuild
 // declines the arena mid-block, the block is already decoded, so each
-// group lane reindexes and finishes its remaining ticks through
-// SeparationChain::step_with — step()'s own body over the FlatMap —
+// group lane finishes its remaining ticks through
+// SeparationChain::step_with — step()'s own body over the lane's grid —
 // before its pipeline takes over at the next block boundary. No stream
 // is rewound and no word is drawn twice. All paths produce the same
 // bytes.
@@ -81,15 +87,16 @@
 // colors, edge counts, all eight counters, and post-run RNG state.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "src/core/cell_codec.hpp"
 #include "src/core/markov_chain.hpp"
 #include "src/core/step_pipeline.hpp"
+#include "src/sops/cell_codec.hpp"
 
 // Member templates need the target attribute on their in-class
 // declaration: GCC resolves a template's target at instantiation from
@@ -101,6 +108,8 @@
 #endif
 
 namespace sops::core {
+
+namespace cell = system::cell;
 
 class ReplicaBand {
  public:
@@ -120,9 +129,9 @@ class ReplicaBand {
   /// Telemetry only; never feeds back into any trajectory. Surfaced as
   /// benchmark counters by BM_ReplicaBand (simd_fraction = simd_steps /
   /// (simd_steps + scalar_steps) is the SIMD-coverage gate CI checks).
-  /// The lane pipelines' refill_words, tail_words and reindexes are
-  /// folded in, so simd_steps + scalar_steps and refill_words cover
-  /// every step of both tiers exactly once.
+  /// The lane pipelines' refill_words and tail_words are folded in, so
+  /// simd_steps + scalar_steps and refill_words cover every step of both
+  /// tiers exactly once.
   struct Stats {
     std::uint64_t blocks = 0;        ///< SIMD-group decode/execute blocks
     std::uint64_t refill_words = 0;  ///< bulk-refilled raw words
@@ -130,7 +139,7 @@ class ReplicaBand {
     std::uint64_t simd_steps = 0;    ///< steps executed on the SIMD path
     std::uint64_t scalar_steps = 0;  ///< lane pipelines + step_with()
     std::uint64_t arena_rebuilds = 0;///< arena (re)builds
-    std::uint64_t reindexes = 0;     ///< lane occupancy-index repairs
+    std::uint64_t arena_refusals = 0;///< arena scans refused by the box rule
   };
 
   /// Binds to `chains` (kept by pointer; all must outlive the band).
@@ -151,17 +160,18 @@ class ReplicaBand {
   /// masked off tick by tick; the rest stay vectorized. This is how the
   /// ensemble drives replicas whose measurement schedules diverge.
   ///
-  /// The arena survives across run() calls: it is rebuilt only when a
-  /// group lane's step counter moved outside the band (the counter is
-  /// monotone, so any interleaved serial stepping is detected). The one
+  /// The arena — or its refusal — survives across run() calls: it is
+  /// rebuilt only when a group lane's step counter moved outside the
+  /// band (the counter is monotone, so any interleaved serial stepping
+  /// is detected). The one
   /// blind spot is replacing a chain's state in place at an identical
   /// step count (e.g. restoring a foreign checkpoint into a bound
   /// chain); call invalidate_arena() after such a swap.
   void run(std::span<const std::uint64_t> quotas);
 
-  /// Drops the cached arena; the next run() rebuilds from the live
-  /// systems. Needed only after mutating a bound chain's configuration
-  /// without advancing its step counter.
+  /// Drops the cached arena (or its refusal); the next run() rescans the
+  /// live systems. Needed only after mutating a bound chain's
+  /// configuration without advancing its step counter.
   void invalidate_arena() noexcept {
     arena_ok_ = false;
     arena_synced_ = false;
@@ -189,6 +199,15 @@ class ReplicaBand {
   // shrink under the compact layout.
   static constexpr int kIdxBits = 28;
   static constexpr std::uint32_t kIdxMask = (1u << kIdxBits) - 1;
+
+  // The arena's box rule (see the file comment).
+  static constexpr std::int64_t kMargin = 8;
+  static constexpr std::int64_t kSlack = 3;
+  [[nodiscard]] static constexpr std::int64_t plane_cap(
+      std::size_t n) noexcept {
+    return std::max<std::int64_t>(std::int64_t{1} << 20,
+                                  32 * static_cast<std::int64_t>(n));
+  }
 
  public:
   /// Spilled per-tick decision vectors of one 8-lane group, handed from
@@ -233,8 +252,8 @@ class ReplicaBand {
   template <bool kCompact, std::size_t kGroups>
   SOPS_BAND_AVX2_FN std::size_t execute_group_simd(const std::size_t* active);
   /// Applies one group's accepted moves/swaps (mask bits of mm_macc /
-  /// mm_sacc) scalar through the *_unchecked mutators (index left
-  /// stale), mirroring each into the arena while it is up. A drift
+  /// mm_sacc) scalar through the delta-fed mutators, mirroring each
+  /// into the arena while it is up. A drift
   /// rebuild may decline the arena (arena_ok_ = false); the caller
   /// stops the SIMD walk after the tick.
   template <bool kCompact>
@@ -242,8 +261,8 @@ class ReplicaBand {
 
   /// (Re)builds the shared-geometry arena of the group lanes in the
   /// layout fixed by n, plus their position/color SoA and the direction
-  /// offset tables; arena_ok_ = false when any group lane's bounding
-  /// box makes the shared plane uneconomical.
+  /// offset tables; arena_ok_ = false (a refusal) when any group lane's
+  /// bounding box makes the shared plane uneconomical.
   void rebuild_arena();
   template <typename Cell>
   void fill_arena(std::vector<Cell>& cells, std::int64_t plane);
@@ -311,7 +330,7 @@ class ReplicaBand {
 
   // Arena reuse across run() calls: the per-lane step counters at last
   // sync. A mismatch on entry means the chain advanced outside the
-  // band, so the mirror is stale and run() rebuilds.
+  // band, so the arena (or its refusal) is stale and run() rescans.
   std::array<std::uint64_t, kMaxWidth> synced_steps_{};
   bool arena_synced_ = false;
 

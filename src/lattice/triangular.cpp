@@ -33,20 +33,4 @@ std::pair<double, double> embed(Node v) noexcept {
           kHalfSqrt3 * static_cast<double>(v.y)};
 }
 
-EdgeRing EdgeRing::around(Node l, int dir) noexcept {
-  const Node lp = neighbor(l, dir);
-  EdgeRing ring;
-  // Counterclockwise around the pair; see the header diagram. Positions 0
-  // and 4 are the common neighbors of l and lp.
-  ring.nodes[0] = neighbor(l, dir + 1);   // common A (== neighbor(lp, dir+2))
-  ring.nodes[1] = neighbor(l, dir + 2);
-  ring.nodes[2] = neighbor(l, dir + 3);
-  ring.nodes[3] = neighbor(l, dir + 4);
-  ring.nodes[4] = neighbor(l, dir - 1);   // common B (== neighbor(lp, dir-2))
-  ring.nodes[5] = neighbor(lp, dir - 1);
-  ring.nodes[6] = neighbor(lp, dir);
-  ring.nodes[7] = neighbor(lp, dir + 1);
-  return ring;
-}
-
 }  // namespace sops::lattice

@@ -90,7 +90,21 @@ struct EdgeRing {
   static constexpr std::size_t kCommonB = 4;  // index of second common nbr
 
   /// Builds the ring for the edge from l toward direction `dir`.
-  static EdgeRing around(Node l, int dir) noexcept;
+  /// Counterclockwise around the pair; positions 0 and 4 are the common
+  /// neighbors of l and l'.
+  static constexpr EdgeRing around(Node l, int dir) noexcept {
+    const Node lp = neighbor(l, dir);
+    return EdgeRing{{
+        neighbor(l, dir + 1),  // common A (== neighbor(lp, dir + 2))
+        neighbor(l, dir + 2),
+        neighbor(l, dir + 3),
+        neighbor(l, dir + 4),
+        neighbor(l, dir - 1),  // common B (== neighbor(lp, dir - 2))
+        neighbor(lp, dir - 1),
+        neighbor(lp, dir),
+        neighbor(lp, dir + 1),
+    }};
+  }
 };
 
 }  // namespace sops::lattice

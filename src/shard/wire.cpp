@@ -371,12 +371,10 @@ ShardFile decode(std::string_view text) {
     const auto tokens = expect_line(lines, "job", 2, 2);
     job.name = std::string(tokens[1]);
   }
-  if (version >= 3) {
+  {
     const auto tokens = expect_line(lines, "model", 2, 2);
     job.model = std::string(tokens[1]);
   }
-  // v2 predates multi-model jobs; every v2 document is a separation
-  // job (JobSpec::model's default).
   {
     const auto tokens = expect_line(lines, "manifest", 4, 4);
     file.manifest.n_shards = get_u64(tokens[1], lines.line_no());

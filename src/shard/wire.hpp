@@ -40,12 +40,12 @@ namespace sops::shard {
 // v2 added the `manifest` line (expected shard-file count + this file's
 // task range) so an incomplete merge can name the missing *file*, not
 // just the missing task indices. v3 added the `model` line naming the
-// model family every task runs; v2 documents still decode, with the
-// model defaulting to "separation" (the only model v2 could carry).
+// model family every task runs. No v2 document is produced or kept any
+// more, so decode() accepts v3 only.
 inline constexpr std::uint32_t kWireVersion = 3;
 
 // Oldest version decode() still accepts.
-inline constexpr std::uint32_t kWireVersionMin = 2;
+inline constexpr std::uint32_t kWireVersionMin = 3;
 
 /// Malformed wire input. `what()` includes the 1-based line number.
 class WireError : public std::runtime_error {

@@ -185,11 +185,11 @@ TEST(Snapshot, DecodeRejectsAuxOnPartial) {
   EXPECT_THROW((void)decode(rechecksum(text)), SnapshotError);
 }
 
-TEST(Snapshot, V1SeparationDocumentsStillParse) {
-  // A pre-refactor v1 snapshot, grammar frozen: typed params/rng/
-  // counters/particles lines instead of a model-state block. The reader
-  // must lift it into the separation model's state grammar so old
-  // checkpoint directories resume under the v2 codec.
+TEST(Snapshot, V1DocumentsAreRefusedByVersion) {
+  // A v1 snapshot (typed params/rng/counters/particles lines instead of
+  // a model-state block). The lift into the v2 grammar is gone, so the
+  // reader must refuse it at the magic line with the named version
+  // error, before reading its body.
   std::string v1 =
       "sops-checkpoint v1\n"
       "job legacy\n"
@@ -209,26 +209,14 @@ TEST(Snapshot, V1SeparationDocumentsStillParse) {
       "p -3 2 1\n"
       "checksum 0000000000000000\n"
       "end\n";
-  const Snapshot snap = decode(rechecksum(v1));
-  EXPECT_EQ(snap.job, "legacy");
-  EXPECT_EQ(snap.model, "separation");
-  EXPECT_EQ(snap.spec_hash, 0xdeadbeefULL);
-  EXPECT_EQ(snap.task_index, 2u);
-  EXPECT_EQ(snap.task_seed, 77u);
-  EXPECT_FALSE(snap.complete);
-  ASSERT_EQ(snap.series.size(), 1u);
-  EXPECT_EQ(snap.series[0].iteration, 500u);
-  ASSERT_FALSE(snap.state.empty());
-
-  const auto m = restore_model(snap);
-  const core::SeparationChain& c = model::separation_chain(*m);
-  EXPECT_EQ(c.params().lambda, 4.0);
-  EXPECT_EQ(c.params().gamma, 0.25);
-  EXPECT_EQ(c.counters().steps, 500u);
-  EXPECT_EQ(c.counters().swaps_accepted, 40u);
-  ASSERT_EQ(c.system().size(), 3u);
-  EXPECT_EQ(c.system().positions()[2].x, -3);
-  EXPECT_EQ(c.rng_state()[3], 0xffu);
+  try {
+    (void)decode(rechecksum(v1));
+    FAIL() << "decode accepted a v1 snapshot";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version v1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Snapshot, WriteIsAtomicReadBack) {

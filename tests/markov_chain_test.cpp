@@ -181,15 +181,17 @@ TEST(SeparationChainTest, HolesAreConservedByTheLiteralMoveSet) {
 }
 
 TEST(SeparationChainTest, OccupancyCapacityStableAcrossLongRun) {
-  // The constructor pre-sizes the occupancy table to >= 2x the particle
-  // count, so no rehash — and no latency spike or pointer invalidation —
-  // can ever land mid-trajectory.
+  // Pages emptied by the blob's drift return to the free list and are
+  // reused, so the page pool grows only with the live page count — a
+  // compact blob of 50 particles spans at most four pages at a time.
   SeparationChain chain(random_start(50, 12), Params{4.0, 4.0, true}, 31);
-  const std::size_t cap = chain.system().occupancy_capacity();
-  EXPECT_GE(cap, 2 * chain.system().size());
+  std::size_t most_live = chain.system().pages().size();
   for (int block = 0; block < 10; ++block) {
     chain.run(20000);
-    ASSERT_EQ(chain.system().occupancy_capacity(), cap) << block;
+    const std::size_t live = chain.system().pages().size();
+    ASSERT_LE(live, 4u) << block;
+    most_live = std::max(most_live, live);
+    ASSERT_LE(chain.system().pooled_pages(), most_live + 1) << block;
   }
 }
 

@@ -2,8 +2,8 @@
 // ReplicaBand must leave every lane byte-identical to a twin advanced
 // by the same number of serial step() calls — same positions, colors,
 // edge counts, all eight counters, and post-run RNG state — at every
-// width, on every execution path (SIMD groups, lane pipelines over
-// their mirrors, step()'s own body over the FlatMap), through ragged
+// width, on every execution path (SIMD groups, lane pipelines and
+// step()'s own body over each lane's grid), through ragged
 // per-lane quotas, and across arena re-centers and mid-run arena
 // declines. This is the
 // contract that lets the ensemble group sweep replicas into bands.
@@ -17,11 +17,12 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/core/cell_codec.hpp"
+#include "src/sops/cell_codec.hpp"
 #include "src/core/coloring.hpp"
 #include "src/core/markov_chain.hpp"
 #include "src/lattice/shapes.hpp"
 #include "src/util/rng.hpp"
+#include "tests/grid_audit.hpp"
 
 namespace sops::core {
 namespace {
@@ -55,31 +56,9 @@ std::vector<SeparationChain*> pointers(std::vector<SeparationChain>& chains) {
   return p;
 }
 
-// The band defers each lane's occupancy index while the arena owns
-// occupancy and rebuilds it when run() returns: the index must map every
-// position back to its particle and report exactly the positions — no
-// neighbor of one — as occupied. Checking each particle and its six
-// neighbors covers every node a step can read, however large the box.
-void expect_index_current(const ParticleSystem& sys, const std::string& what) {
-  EXPECT_FALSE(sys.index_stale()) << what;
-  std::unordered_set<std::uint64_t> at;
-  for (const lattice::Node v : sys.positions()) at.insert(lattice::pack(v));
-  std::size_t wrong = 0;
-  for (std::size_t i = 0; i < sys.size(); ++i) {
-    const auto pi = static_cast<system::ParticleIndex>(i);
-    const lattice::Node v = sys.position(pi);
-    if (sys.particle_at(v) != pi) ++wrong;
-    for (int d = 0; d < 6; ++d) {
-      const lattice::Node u = lattice::neighbor(v, d);
-      if (sys.occupied(u) != at.contains(lattice::pack(u))) ++wrong;
-    }
-  }
-  EXPECT_EQ(wrong, 0u) << what << ": index disagrees with positions";
-}
-
 void expect_same_state(const SeparationChain& a, const SeparationChain& b,
                        const std::string& what) {
-  expect_index_current(b.system(), what);
+  system::testing::expect_grid_consistent(b.system(), what);
   EXPECT_EQ(a.system().positions(), b.system().positions()) << what;
   EXPECT_EQ(a.system().colors(), b.system().colors()) << what;
   EXPECT_EQ(a.system().edge_count(), b.system().edge_count()) << what;
@@ -210,7 +189,8 @@ TEST(ReplicaBand, SegmentsAndExternalStepsAreAbsorbed) {
   for (int round = 0; round < 8; ++round) {
     band.run(seg);
     for (std::size_t r = 0; r < 8; ++r) {
-      expect_index_current(banded[r].system(), "before external steps");
+      system::testing::expect_grid_consistent(banded[r].system(),
+                                              "before external steps");
       for (std::uint64_t i = 0; i < seg; ++i) serial[r].step();
       for (int i = 0; i < 57; ++i) {
         serial[r].step();
@@ -254,10 +234,10 @@ TEST(ReplicaBand, DriftRecentersTheArenaInsideABand) {
 }
 
 // One lane with a far-away outlier blows up the shared arena extent:
-// the band must decline the arena and hand every lane to its pipeline.
-// The outlier lane's pipeline refuses its mirror too and walks the
-// FlatMap from entry; the other seven mirror their own boxes. All stay
-// byte-identical to step().
+// the band must refuse the arena and hand every lane to its pipeline,
+// which gathers from the lane's grid (the outlier just has a page of
+// its own). The refusal is recorded, so back-to-back run() calls scan
+// the lanes once. All stay byte-identical to step().
 TEST(ReplicaBand, OversizedBoundingBoxFallsBackToFlatMapGather) {
   const Params params{4.0, 4.0, true};
   std::vector<SeparationChain> banded;
@@ -276,26 +256,21 @@ TEST(ReplicaBand, OversizedBoundingBoxFallsBackToFlatMapGather) {
   }
   auto ptrs = pointers(banded);
   ReplicaBand band(ptrs);
-  std::vector<std::uint64_t> lookups;
-  for (const SeparationChain& c : banded) {
-    lookups.push_back(c.system().occupancy_lookups());
-  }
-  band.run(20000);
+  band.run(10000);
+  band.run(5000);
+  band.run(5000);
   EXPECT_EQ(band.stats().arena_rebuilds, 0u);
   EXPECT_EQ(band.stats().simd_steps, 0u);
-  // Only the outlier lane probes the FlatMap index, and its walk keeps
-  // the index current itself; each mirrored lane rebuilds its index
-  // once, at exit.
-  for (std::size_t r = 0; r < 8; ++r) {
-    const std::uint64_t probes =
-        banded[r].system().occupancy_lookups() - lookups[r];
-    if (r == 3) {
-      EXPECT_GT(probes, 0u) << "outlier lane did not walk the FlatMap";
-    } else {
-      EXPECT_EQ(probes, 0u) << "lane " << r << " did not walk its mirror";
-    }
-  }
-  EXPECT_EQ(band.stats().reindexes, 7u);
+  EXPECT_EQ(band.stats().scalar_steps, 8u * 20000u);
+  // Only a SIMD band scans for an arena; the three calls scan once.
+  EXPECT_EQ(band.stats().arena_refusals, band.simd_enabled() ? 1u : 0u);
+  // A step outside the band makes the recorded refusal stale.
+  banded[0].step();
+  serial[0].step();
+  band.run(1);
+  serial[0].step();
+  EXPECT_EQ(band.stats().arena_refusals, band.simd_enabled() ? 2u : 0u);
+  for (std::size_t r = 1; r < 8; ++r) serial[r].step();
   for (std::size_t r = 0; r < 8; ++r) {
     for (int i = 0; i < 20000; ++i) serial[r].step();
     const std::string what = "outlier lane " + std::to_string(r);
@@ -308,9 +283,8 @@ TEST(ReplicaBand, OversizedBoundingBoxFallsBackToFlatMapGather) {
 // shared plane sits just under its cell cap. The dimers roll freely
 // (each of their moves keeps one neighbor), and once one drifts into
 // its guard band the re-centered plane no longer fits: the arena is
-// declined mid-block, after the arena walks have already deferred index
-// updates on every lane. The block is already decoded, so each lane
-// reindexes and finishes its remaining ticks through step()'s own body;
+// declined mid-block. The block is already decoded, so each lane
+// finishes its remaining ticks through step()'s own body over its grid;
 // its pipeline takes over from the next block, and no byte may move.
 // Widths 8 and 16 cover the one- and two-group walker. At width 16 only
 // group A (lanes 0–7) carries the far dimer, so only group A can push
@@ -378,18 +352,18 @@ TEST(ReplicaBand, ArenaDeclinedMidRunHandsOverToFlatMap) {
         band.run(quotas);
       }
     }
-    // The arena survives across calls, so the next entry rebuilds only
-    // because a mid-run decline dropped it; that rebuild must decline
-    // too (the plane grew past the cap) and leave the count alone.
+    // The decline is recorded like an entry refusal: later calls run the
+    // lane pipelines without rescanning, and no rebuild succeeds.
     const std::uint64_t rebuilds = band.stats().arena_rebuilds;
+    const std::uint64_t refusals = band.stats().arena_refusals;
     band.run(1);
     for (std::uint64_t& t : total) t += 1;
     if (arena) {
-      EXPECT_EQ(band.stats().arena_rebuilds, rebuilds)
-          << "no dimer pushed the plane past the cap";
+      EXPECT_EQ(band.stats().arena_rebuilds, rebuilds);
+      EXPECT_EQ(band.stats().arena_refusals, refusals);
+      EXPECT_GT(refusals, 0u) << "no dimer pushed the plane past the cap";
       EXPECT_GT(band.stats().simd_steps, 0u);
     }
-    EXPECT_GT(band.stats().reindexes, 0u);
     // Each step ran exactly once, on one tier: the SIMD walk, or the
     // scalar tier (the step_with() finish of the declined block, then
     // the lane pipelines). Each tick's words were drawn once, by the

@@ -289,9 +289,9 @@ TEST(ServiceJobsTest, UnknownModelTagIsRefusedAsUnknownModel) {
 }
 
 TEST(ServiceJobsTest, ModelFieldSurvivesPayloadVersionSkew) {
-  // v3 payloads carry the model line verbatim; a v2 payload (pre-model
-  // wire) decodes with the default separation tag, so version-skewed
-  // clients keep submitting the jobs they always did.
+  // v3 payloads carry the model line verbatim. A v2 payload (pre-model
+  // wire) is no longer decoded: the submit is refused with a named
+  // protocol error carrying the wire's version message.
   shard::JobSpec job = small_job(2, 16, 500);
   job.model = "alignment";
   job.params = {"blob=16"};
@@ -306,7 +306,14 @@ TEST(ServiceJobsTest, ModelFieldSurvivesPayloadVersionSkew) {
   const auto mpos = v2.find("model separation\n");
   ASSERT_NE(mpos, std::string::npos);
   v2.erase(mpos, std::string("model separation\n").size());
-  EXPECT_EQ(service::decode_job_payload(v2).model, "separation");
+  try {
+    (void)service::decode_job_payload(v2);
+    FAIL() << "a v2 payload decoded";
+  } catch (const service::ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported wire version v2"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // --- Engine cancel token ---

@@ -112,29 +112,30 @@ TEST(Wire, RoundTripIsBitExactAndByteStable) {
   EXPECT_TRUE(b.aux.empty());
 }
 
-TEST(Wire, V2DocumentsDecodeWithTheDefaultModelTag) {
-  // A v2 wire file predates the model line; the reader must default the
-  // tag to "separation" so pre-refactor shard files still merge.
+TEST(Wire, V2DocumentsAreRefusedByVersion) {
+  // A v2 wire file predates the model line. Its decoding is gone, so
+  // the reader must refuse it — with or without a model line — with the
+  // named version error.
   JobSpec job = tricky_job();
   job.model = "separation";
   std::string text = encode(job, tricky_results(job));
   const auto vpos = text.find(" v3\n");
   ASSERT_NE(vpos, std::string::npos);
   text.replace(vpos, 4, " v2\n");
-  const auto mpos = text.find("model separation\n");
+  std::string without_model = text;
+  const auto mpos = without_model.find("model separation\n");
   ASSERT_NE(mpos, std::string::npos);
-  text.erase(mpos, std::string("model separation\n").size());
-
-  const ShardFile decoded = decode(text);
-  EXPECT_EQ(decoded.job.model, "separation");
-  EXPECT_EQ(decoded.job.name, job.name);
-  ASSERT_EQ(decoded.results.size(), 2u);
-
-  // A v2 document carrying a model line is malformed — the line joined
-  // the grammar in v3.
-  std::string hybrid = encode(job, tricky_results(job));
-  hybrid.replace(hybrid.find(" v3\n"), 4, " v2\n");
-  EXPECT_THROW((void)decode(hybrid), WireError);
+  without_model.erase(mpos, std::string("model separation\n").size());
+  for (const std::string& doc : {text, without_model}) {
+    try {
+      (void)decode(doc);
+      FAIL() << "decode accepted a v2 document";
+    } catch (const WireError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported wire version v2"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Wire, EncodeRejectsUnencodableSpecs) {

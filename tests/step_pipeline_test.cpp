@@ -19,6 +19,7 @@
 #include "src/core/simd_dispatch.hpp"
 #include "src/lattice/shapes.hpp"
 #include "src/util/rng.hpp"
+#include "tests/grid_audit.hpp"
 
 namespace sops::core {
 namespace {
@@ -51,31 +52,9 @@ const Setting kSettings[] = {
     {120, 2, Params{1.0, 1.0, true}, 44},
 };
 
-// The pipeline defers the system's occupancy index while its mirror
-// owns occupancy and rebuilds it when run() returns: the index must map
-// every position back to its particle and report exactly the positions
-// — no neighbor of one — as occupied. Checking each particle and its six
-// neighbors covers every node a step can read, however large the box.
-void expect_index_current(const ParticleSystem& sys, const char* what) {
-  EXPECT_FALSE(sys.index_stale()) << what;
-  std::unordered_set<std::uint64_t> at;
-  for (const lattice::Node v : sys.positions()) at.insert(lattice::pack(v));
-  std::size_t wrong = 0;
-  for (std::size_t i = 0; i < sys.size(); ++i) {
-    const auto pi = static_cast<system::ParticleIndex>(i);
-    const lattice::Node v = sys.position(pi);
-    if (sys.particle_at(v) != pi) ++wrong;
-    for (int d = 0; d < 6; ++d) {
-      const lattice::Node u = lattice::neighbor(v, d);
-      if (sys.occupied(u) != at.contains(lattice::pack(u))) ++wrong;
-    }
-  }
-  EXPECT_EQ(wrong, 0u) << what << ": index disagrees with positions";
-}
-
 void expect_same_state(const SeparationChain& a, const SeparationChain& b,
                        const char* what) {
-  expect_index_current(b.system(), what);
+  system::testing::expect_grid_consistent(b.system(), what);
   EXPECT_EQ(a.system().positions(), b.system().positions()) << what;
   EXPECT_EQ(a.system().colors(), b.system().colors()) << what;
   EXPECT_EQ(a.system().edge_count(), b.system().edge_count()) << what;
@@ -142,7 +121,7 @@ TEST(StepPipeline, SegmentSplitsNeverChangeTheTrajectory) {
   while (remaining > 0) {
     const std::uint64_t take = std::min<std::uint64_t>(seg, remaining);
     pipeline.run(take);
-    expect_index_current(piped.system(), "after a segment");
+    system::testing::expect_grid_consistent(piped.system(), "after a segment");
     remaining -= take;
     seg = seg * 3 + 1;  // 1, 4, 13, 40, ... hits many partial-block tails
   }
@@ -176,8 +155,9 @@ TEST(StepPipeline, StatsAccountForEveryProposal) {
   pipeline.run(50000);
   const StepPipeline::Stats& st = pipeline.stats();
   EXPECT_EQ(st.speculative_hits + st.speculative_misses, 50000u);
-  // High-acceptance setting: both speculation outcomes must occur.
-  EXPECT_GT(st.speculative_hits, 0u);
+  // High-acceptance setting: both speculation outcomes must occur where
+  // the window gather runs; without it step_with gathers every step.
+  EXPECT_EQ(st.speculative_hits > 0, detail::simd_runtime_enabled());
   EXPECT_GT(st.speculative_misses, 0u);
   EXPECT_EQ(st.refill_words, 3u * 50000u);
   EXPECT_EQ(st.blocks, (50000u + 127u) / 128u);
@@ -272,9 +252,9 @@ TEST(StepPipeline, RunnerDriversMatchStepwiseMeasurements) {
   expect_same_state(serial, piped, "run_with_checkpoints");
 }
 
-// The dense occupancy mirror is derived state, rebuilt at every run()
-// entry — direct step() calls interleaved between segments on the same
-// long-lived pipeline must be absorbed exactly.
+// The pipeline keeps no occupancy of its own, so direct step() calls
+// interleaved between segments on the same long-lived pipeline must be
+// absorbed exactly.
 TEST(StepPipeline, ExternalStepsBetweenSegmentsAreAbsorbed) {
   SeparationChain serial = make_chain(120, 2, Params{4.0, 4.0, true}, 55);
   SeparationChain piped = make_chain(120, 2, Params{4.0, 4.0, true}, 55);
@@ -282,7 +262,8 @@ TEST(StepPipeline, ExternalStepsBetweenSegmentsAreAbsorbed) {
   for (int round = 0; round < 6; ++round) {
     for (int i = 0; i < 5000; ++i) serial.step();
     pipeline.run(5000);
-    expect_index_current(piped.system(), "before external steps");
+    system::testing::expect_grid_consistent(piped.system(),
+                                            "before external steps");
     for (int i = 0; i < 137; ++i) {
       serial.step();
       piped.step();  // mutate the system outside the pipeline
@@ -292,24 +273,31 @@ TEST(StepPipeline, ExternalStepsBetweenSegmentsAreAbsorbed) {
   expect_rng_in_sync(serial, piped);
 }
 
-// A free blob (λ = γ = 1) diffuses; when a move drifts into the mirror's
-// guard band the box must be re-centered mid-run without perturbing the
-// trajectory.
-TEST(StepPipeline, DriftingBlobRecentersTheMirror) {
+// A free blob (λ = γ = 1) diffuses across page edges: crossing moves
+// create pages, emptied pages return to the free list, and none of it
+// may perturb the trajectory.
+TEST(StepPipeline, DriftingBlobCrossesPageEdges) {
   SeparationChain serial = make_chain(40, 2, Params{1.0, 1.0, true}, 66);
   SeparationChain piped = make_chain(40, 2, Params{1.0, 1.0, true}, 66);
   StepPipeline pipeline(piped);
-  for (int i = 0; i < 400000; ++i) serial.step();
-  pipeline.run(400000);
-  // At least the entry rebuild plus one drift re-center.
-  EXPECT_GE(pipeline.stats().mirror_rebuilds, 2u);
+  std::size_t max_pages = 0;
+  for (int segment = 0; segment < 8; ++segment) {
+    for (int i = 0; i < 50000; ++i) serial.step();
+    pipeline.run(50000);
+    max_pages = std::max(max_pages, piped.system().pages().size());
+    system::testing::expect_grid_consistent(piped.system(),
+                                            "diffusing segment");
+  }
+  EXPECT_GT(max_pages, 1u) << "the blob never spanned a page edge";
+  EXPECT_LE(piped.system().pooled_pages(), max_pages + 1)
+      << "released pages were not reused";
   expect_same_state(serial, piped, "diffusing trajectory");
   expect_rng_in_sync(serial, piped);
 }
 
-// A far-away outlier makes the bounding box uneconomical: the pipeline
-// must decline the mirror and run the whole trajectory through step()'s
-// own body over the FlatMap, still byte-identical to step().
+// A far-away outlier gets a page of its own: the pipeline's window runs
+// over both the blob's pages and the outlier's, with next to no
+// directory probes, and stays byte-identical to step().
 TEST(StepPipeline, OversizedBoundingBoxFallsBackToFlatMapGather) {
   util::Rng rng(77);
   auto nodes = lattice::random_blob(60, rng);
@@ -320,51 +308,34 @@ TEST(StepPipeline, OversizedBoundingBoxFallsBackToFlatMapGather) {
   SeparationChain piped(ParticleSystem(nodes, colors), params, 77);
   StepPipeline pipeline(piped);
   for (int i = 0; i < 30000; ++i) serial.step();
+  const std::uint64_t probes = piped.system().directory_probes();
   pipeline.run(30000);
-  EXPECT_EQ(pipeline.stats().mirror_rebuilds, 0u);
-  // step_with() keeps the index current itself: nothing to rebuild.
-  EXPECT_EQ(pipeline.stats().reindexes, 0u);
+  // Every gather reads the proposer's page directly; only the rare move
+  // that crosses into an unlinked page consults the directory.
+  EXPECT_LT(piped.system().directory_probes() - probes, 3000u);
+  if (detail::simd_runtime_enabled()) {
+    EXPECT_GT(pipeline.stats().speculative_hits, 0u);
+  }
   expect_same_state(serial, piped, "disconnected-outlier trajectory");
   expect_rng_in_sync(serial, piped);
 }
 
-// A compact blob plus a far-off dimer, placed so the mirror box sits
-// just under its cell cap. The dimer rolls freely (each of its moves
-// keeps one neighbor), and once it drifts into the guard band the
-// re-centered box no longer fits: the mirror is declined mid-run, after
-// the mirrored walk has already deferred index updates, and step_with()
-// must finish the run from a rebuilt index without perturbing a byte.
-TEST(StepPipeline, MirrorDeclinedMidRunHandsOverToFlatMap) {
+// A compact blob plus a dimer 2^20 nodes away: the dimer rolls freely
+// (each of its moves keeps one neighbor) across the edges of its own
+// pages, far from the blob's, without perturbing a byte.
+TEST(StepPipeline, FarDimerRollsAcrossItsOwnPages) {
   util::Rng rng(88);
   auto nodes = lattice::compact_blob(60);
-  int xmin = nodes[0].x, ymin = nodes[0].y, ymax = nodes[0].y;
-  for (const lattice::Node v : nodes) {
-    xmin = std::min(xmin, v.x);
-    ymin = std::min(ymin, v.y);
-    ymax = std::max(ymax, v.y);
-  }
-  // Box = (extent + 2·8 margin) per axis against a 2^20-cell cap: put
-  // the dimer's right end on the widest column that still fits.
-  const int h = (ymax - ymin + 1) + 16;
-  const int right = xmin + (1 << 20) / h - 16 - 1;
-  nodes.push_back(lattice::Node{right - 1, ymin});
-  nodes.push_back(lattice::Node{right, ymin});
+  nodes.push_back(lattice::Node{(1 << 20) - 1, 0});
+  nodes.push_back(lattice::Node{1 << 20, 0});
   const auto colors = balanced_random_colors(nodes.size(), 2, rng);
   const Params params{4.0, 4.0, true};
   SeparationChain serial(ParticleSystem(nodes, colors), params, 88);
   SeparationChain piped(ParticleSystem(nodes, colors), params, 88);
   StepPipeline pipeline(piped);
-  pipeline.run(1);
-  ASSERT_EQ(pipeline.stats().mirror_rebuilds, 1u) << "box over the cap";
   pipeline.run(400000);
-  const std::uint64_t rebuilds = pipeline.stats().mirror_rebuilds;
-  pipeline.run(1);
-  // An entry rebuild that declines leaves the count alone: the box grew
-  // past the cap, which only a mid-run decline lets happen.
-  EXPECT_EQ(pipeline.stats().mirror_rebuilds, rebuilds)
-      << "the dimer never pushed the box past the cap";
-  for (int i = 0; i < 400002; ++i) serial.step();
-  expect_same_state(serial, piped, "mid-run mirror decline");
+  for (int i = 0; i < 400000; ++i) serial.step();
+  expect_same_state(serial, piped, "far dimer");
   expect_rng_in_sync(serial, piped);
 }
 
