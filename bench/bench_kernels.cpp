@@ -125,16 +125,15 @@ BENCHMARK(BM_RunPipeline_Gamma1)->ArgPair(400, 256)->ArgPair(2000, 256);
 // timing iteration advances EVERY lane by one 4096-step chunk, so
 // items = aggregate chain steps across the band and items/s divided by
 // BM_RunPipeline's items/s is the per-core replica throughput ratio.
-// Lanes use distinct seeds — the arena sees genuinely diverged
+// Lanes use distinct seeds — the gathers see genuinely diverged
 // configurations, not eight copies of one trajectory. The simd counter
 // records whether the AVX2 path was active (0 under SOPS_FORCE_SCALAR
 // or on non-AVX2 hosts; the ratio claim applies to simd == 1 runs);
 // simd_fraction is the share of steps actually executed on the SIMD
-// path (lanes outside a full 8-lane group and declined arenas run
-// through per-lane pipelines and drag it below 1), the coverage number
-// the snapshot script's --counters gate checks. arena_rebuilds and
-// tail_words surface ReplicaBand::Stats so a
-// drift-rebuild storm or Lemire-spill anomaly shows up in the snapshot
+// path (lanes outside a full 8-lane group run through per-lane
+// pipelines and drag it below 1), the coverage number the snapshot
+// script's --counters gate checks. tail_words surfaces
+// ReplicaBand::Stats so a Lemire-spill anomaly shows up in the snapshot
 // rather than as an unexplained slowdown.
 void replica_band(benchmark::State& state, double gamma) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -170,8 +169,6 @@ void replica_band(benchmark::State& state, double gamma) {
       benchmark::Counter(band.simd_enabled() ? 1.0 : 0.0);
   state.counters["simd_fraction"] = benchmark::Counter(
       executed > 0.0 ? static_cast<double>(st.simd_steps) / executed : 0.0);
-  state.counters["arena_rebuilds"] =
-      benchmark::Counter(static_cast<double>(st.arena_rebuilds));
   state.counters["tail_words"] =
       benchmark::Counter(static_cast<double>(st.tail_words));
   state.counters["accept_rate"] = benchmark::Counter(

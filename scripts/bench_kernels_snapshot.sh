@@ -20,10 +20,11 @@
 #
 #   --counters additionally checks the band engine's execution-path
 #   counters: on the AVX2 tier (CPU reports avx2, SOPS_FORCE_SCALAR
-#   unset) the BM_ReplicaBand SIMD-step fraction must stay >= 90% at
-#   widths 8 and 16 — a silent fall-back to the scalar path would
-#   otherwise masquerade as a mere perf regression. Warn-only by
-#   default; SOPS_BENCH_STRICT=1 makes a breach exit 1.
+#   unset) every step of the BM_ReplicaBand and BM_ReplicaBand_Gamma1
+#   rows at widths 8 and 16 must run on the SIMD path (fraction 100%:
+#   a full 8-lane group never leaves it) — a silent fall-back to the
+#   scalar path would otherwise masquerade as a mere perf regression.
+#   Warn-only by default; SOPS_BENCH_STRICT=1 makes a breach exit 1.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -135,9 +136,9 @@ if (( compare )); then
       coverage=$(jq -r '
         [.benchmarks[]
          | select(.aggregate_name == "median")
-         | select(.name | test("^BM_ReplicaBand/[0-9]+/(8|16)_median$"))
-         | select((.simd_fraction // 0) < 0.90)
-         | "WARN: \(.name | sub("_median$"; "")) SIMD-step fraction \((.simd_fraction // 0) * 1000 | floor / 10)% < 90% — band fell back to scalar"]
+         | select(.name | test("^BM_ReplicaBand(_Gamma1)?/[0-9]+/(8|16)_median$"))
+         | select((.simd_fraction // 0) < 1)
+         | "WARN: \(.name | sub("_median$"; "")) SIMD-step fraction \((.simd_fraction // 0) * 1000 | floor / 10)% < 100% — band fell back to scalar"]
         | .[]' "$raw")
       [[ -z $coverage ]] || printf '%s\n' "$coverage"
     fi
@@ -146,7 +147,7 @@ if (( compare )); then
   [[ -z $additions ]] || printf '%s\n' "$additions"
   if [[ -n ${SOPS_BENCH_STRICT:-} && ${SOPS_BENCH_STRICT:-} != 0 \
         && ( -n $warnings || -n $coverage ) ]]; then
-    echo "FAIL: kernel perf regression beyond ${tolerance}% or band SIMD coverage below 90% (SOPS_BENCH_STRICT=1)" >&2
+    echo "FAIL: kernel perf regression beyond ${tolerance}% or band SIMD coverage below 100% (SOPS_BENCH_STRICT=1)" >&2
     exit 1
   fi
   echo "kernel perf comparison done ($( [[ -n ${SOPS_BENCH_STRICT:-} && ${SOPS_BENCH_STRICT:-} != 0 ]] && echo strict || echo warn-only ), threshold ${tolerance}%)"

@@ -94,7 +94,8 @@ scripts/check_checkpoint_kill9.sh "$build_dir" bench_alignment_phase_diagram
 
 echo "== perfbench replica_ensemble (traced, 2 s)"
 # Builds perfbench from this checkout under .bench_build/perfbench. The
-# traced run drives a ReplicaBand directly (stats(), arena_compact()),
+# traced run drives a ReplicaBand directly (stats() and the always-false
+# arena_compact(), kept for perfbench until its next revision),
 # and the workload exits nonzero unless replica 0 of each point,
 # replayed through plain SeparationChain::run, matches bit for bit.
 python3 perfbench/run.py --workload replica_ensemble --seed 1 --seconds 2 \

@@ -27,27 +27,6 @@ double move_weight(const ParticleSystem& sys, const Params& p, Node l,
          std::pow(p.gamma, nb.e_prime_i(ci) - nb.e_i(ci));
 }
 
-double move_weight_reference(const ParticleSystem& sys, const Params& p,
-                             Node l, int dir) {
-  const Node lp = lattice::neighbor(l, dir);
-  if (sys.occupied(lp)) {
-    throw std::invalid_argument("move_weight: target occupied");
-  }
-  const ParticleIndex pi = sys.particle_at(l);
-  if (pi == system::kNoParticle) {
-    throw std::invalid_argument("move_weight: no particle at l");
-  }
-  const Color ci = sys.color(pi);
-  // e and e_i: P's neighbors when contracted at l (l' is empty, so no
-  // exclusion needed). e' and e'_i: neighbors P would have at l',
-  // excluding P itself at l.
-  const int e = sys.neighbor_count(l);
-  const int ei = sys.neighbor_count_color(l, ci);
-  const int ep = sys.neighbor_count(lp, /*exclude=*/l);
-  const int epi = sys.neighbor_count_color(lp, ci, /*exclude=*/l);
-  return std::pow(p.lambda, ep - e) * std::pow(p.gamma, epi - ei);
-}
-
 double swap_weight(const ParticleSystem& sys, const Params& p, Node l,
                    int dir) {
   const NeighborhoodView nb = NeighborhoodView::gather(sys, l, dir);
@@ -55,26 +34,6 @@ double swap_weight(const ParticleSystem& sys, const Params& p, Node l,
     throw std::invalid_argument("swap_weight: both nodes must be occupied");
   }
   return std::pow(p.gamma, nb.swap_exponent());
-}
-
-double swap_weight_reference(const ParticleSystem& sys, const Params& p,
-                             Node l, int dir) {
-  const Node lp = lattice::neighbor(l, dir);
-  const ParticleIndex pi = sys.particle_at(l);
-  const ParticleIndex qi = sys.particle_at(lp);
-  if (pi == system::kNoParticle || qi == system::kNoParticle) {
-    throw std::invalid_argument("swap_weight: both nodes must be occupied");
-  }
-  const Color ci = sys.color(pi);
-  const Color cj = sys.color(qi);
-  // Exponent per Algorithm 1, line 10. N_i(l') \ {P} excludes P (adjacent
-  // to l'); N_j(l) \ {Q} excludes Q (adjacent to l). The un-excluded
-  // counts N_i(l) and N_j(l') are taken literally.
-  const int ni_lp = sys.neighbor_count_color(lp, ci, /*exclude=*/l);
-  const int ni_l = sys.neighbor_count_color(l, ci);
-  const int nj_l = sys.neighbor_count_color(l, cj, /*exclude=*/lp);
-  const int nj_lp = sys.neighbor_count_color(lp, cj);
-  return std::pow(p.gamma, (ni_lp - ni_l) + (nj_l - nj_lp));
 }
 
 SeparationChain::SeparationChain(ParticleSystem sys, Params params,

@@ -33,21 +33,16 @@ struct Params {
 /// The weight λ^(e'−e) · γ^(e'_i−e_i) for the non-swap move of the
 /// particle at `l` toward direction `dir` (target must be empty). Exposed
 /// so tests can verify detailed balance against Lemma 9 directly.
-/// Computed on the single-gather step kernel (neighborhood.hpp); the
-/// `_reference` twin recounts per call and must agree bit-for-bit.
+/// Computed on the single-gather step kernel (neighborhood.hpp);
+/// tests/weight_reference.hpp holds the recounting twin it must agree
+/// with bit for bit.
 [[nodiscard]] double move_weight(const system::ParticleSystem& sys,
                                  const Params& p, lattice::Node l, int dir);
-[[nodiscard]] double move_weight_reference(const system::ParticleSystem& sys,
-                                           const Params& p, lattice::Node l,
-                                           int dir);
 
 /// The weight γ^(...) for the swap of the particles at `l` and
 /// `l + dir` (target must be occupied).
 [[nodiscard]] double swap_weight(const system::ParticleSystem& sys,
                                  const Params& p, lattice::Node l, int dir);
-[[nodiscard]] double swap_weight_reference(const system::ParticleSystem& sys,
-                                           const Params& p, lattice::Node l,
-                                           int dir);
 
 class StepPipeline;
 

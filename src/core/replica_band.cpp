@@ -1,11 +1,10 @@
 #include "src/core/replica_band.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <limits>
+#include <cstdint>
 #include <stdexcept>
-#include <type_traits>
-#include <utility>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
@@ -17,11 +16,10 @@
 
 namespace sops::core {
 
-using lattice::EdgeRing;
+using detail::kGridOffsets;
 using lattice::Node;
-using system::Color;
-using system::NeighborhoodGather;
 using system::ParticleIndex;
+namespace cell = system::cell;
 
 namespace {
 
@@ -106,63 +104,93 @@ __attribute__((target("avx2"))) inline void store_lo32x8(std::int32_t* dst,
                       _mm256_permute2x128_si256(pa, pb, 0x20));
 }
 
-// Gathers eight arena cells normalized to the wide layout's top-nibble
-// form: color nibble at bits 28..31, occupancy in the sign bit, zero
-// iff empty. Wide cells are already in that form; compact 16-bit cells
-// are fetched pairwise (scale-2 epi32 gather puts the addressed cell in
-// the low half of each 32-bit lane) and one shift widens them
-// in-register, so the decision kernel downstream is layout-blind.
-template <bool kCompact>
-__attribute__((target("avx2"))) inline __m256i gather_cell_hi(
-    const int* cells, __m256i vidx) noexcept {
-  if constexpr (kCompact) {
-    return _mm256_slli_epi32(_mm256_i32gather_epi32(cells, vidx, 2), 16);
-  }
-  return _mm256_i32gather_epi32(cells, vidx, 4);
-}
-
 // Block-invariant inputs of the SIMD decide kernel.
 struct BandEnv {
   const std::int32_t* pi;
   const std::int32_t* dir;
   const std::uint64_t* q;
   const std::int64_t* itab;
-  const std::int32_t (*ring_off)[8];
-  const std::int32_t* lp_off;
   std::size_t W;
-  int wshift;  ///< log2(W) when W is a power of two, else -1
   bool swaps;
 };
 
-// Per-group SIMD execute state: lane constants and the seven counter
-// accumulators. The width-16 walk keeps two of these live and runs
-// their ticks interleaved.
+// Per-group SIMD execute state: lane constants, the lane bases of the
+// lanes' two pools, and the seven counter accumulators. The width-16
+// walk keeps two of these live and runs their ticks interleaved.
 struct Group {
-  __m256i vactive, vlane;
+  __m256i vactive;
+  // One lane-base vector per four lanes and pool: each lane's pool
+  // pointer divided by 4, as int64 (lanes 0-3, then 4-7). addresses()
+  // never moves during a run (one slot per particle); cells() moves
+  // when an apply creates a page, so vcbase is re-loaded after applies.
+  __m256i vabase[2], vcbase[2];
   __m256i acc_movep, acc_macc, acc_r5, acc_rloc, acc_rmet, acc_swapp,
       acc_sacc;
   std::size_t g8 = 0;
 };
 
+__attribute__((target("avx2"))) inline __m256i quarter_bases(
+    const void* a, const void* b, const void* c, const void* d) noexcept {
+  const auto q = [](const void* p) {
+    return static_cast<long long>(reinterpret_cast<std::uintptr_t>(p) >> 2);
+  };
+  return _mm256_setr_epi64x(q(a), q(b), q(c), q(d));
+}
+
+__attribute__((target("avx2"))) inline void load_cell_bases(
+    Group& G, SeparationChain* const* lanes) noexcept {
+  for (std::size_t h = 0; h < 2; ++h) {
+    SeparationChain* const* l = lanes + G.g8 + 4 * h;
+    G.vcbase[h] = quarter_bases(
+        l[0]->system().cells(), l[1]->system().cells(),
+        l[2]->system().cells(), l[3]->system().cells());
+  }
+}
+
 __attribute__((target("avx2"))) inline void group_init(
-    Group& G, std::size_t g8, const std::size_t* active) noexcept {
+    Group& G, std::size_t g8, const std::size_t* active,
+    SeparationChain* const* lanes) noexcept {
   alignas(32) std::int32_t act32[8];
   for (std::size_t j = 0; j < 8; ++j) {
     act32[j] = static_cast<std::int32_t>(active[g8 + j]);
   }
   G.vactive = _mm256_load_si256(reinterpret_cast<const __m256i*>(act32));
-  const int g = static_cast<int>(g8);
-  G.vlane = _mm256_setr_epi32(g, g + 1, g + 2, g + 3, g + 4, g + 5, g + 6,
-                              g + 7);
+  G.g8 = g8;
+  for (std::size_t h = 0; h < 2; ++h) {
+    SeparationChain* const* l = lanes + g8 + 4 * h;
+    G.vabase[h] = quarter_bases(
+        l[0]->system().addresses(), l[1]->system().addresses(),
+        l[2]->system().addresses(), l[3]->system().addresses());
+  }
+  load_cell_bases(G, lanes);
   const __m256i z = _mm256_setzero_si256();
   G.acc_movep = G.acc_macc = G.acc_r5 = G.acc_rloc = G.acc_rmet =
       G.acc_swapp = G.acc_sacc = z;
-  G.g8 = g8;
+}
+
+// Gathers element vidx[j] of lane j's own pool for all eight lanes:
+// the int32 indices widen beside the lanes' int64 bases (pool / 4), and
+// a scale-4 gather from a null base reads 4 × (base + index), the
+// element's address. Two 4-wide gathers per eight lanes.
+__attribute__((target("avx2"))) inline __m256i gather_lanes(
+    const __m256i (&vbase)[2], __m256i vidx) noexcept {
+  const auto* const null = static_cast<const int*>(nullptr);
+  const __m128i lo = _mm256_i64gather_epi32(
+      null,
+      _mm256_add_epi64(vbase[0],
+                       _mm256_cvtepi32_epi64(_mm256_castsi256_si128(vidx))),
+      4);
+  const __m128i hi = _mm256_i64gather_epi32(
+      null,
+      _mm256_add_epi64(
+          vbase[1], _mm256_cvtepi32_epi64(_mm256_extracti128_si256(vidx, 1))),
+      4);
+  return _mm256_set_m128i(hi, lo);
 }
 
 // One tick of one 8-lane group: load the tick's proposal band, gather
-// the packed-SoA proposer cells and the 10-node neighborhoods across
-// lanes, and resolve every lane's outcome into counter accumulators.
+// each lane's proposer address and 10-node neighborhood from the lane's
+// own grid, and resolve every lane's outcome into counter accumulators.
 // Returns the accept masks packed as mm_macc | mm_sacc << 8, spilling
 // the decision vectors to `sp` only when some lane accepted — applies
 // happen scalar afterwards, so two groups can decide back-to-back with
@@ -171,10 +199,9 @@ __attribute__((target("avx2"))) inline void group_init(
 // compare and the three mask ANDs it feeds. always_inline: the tick
 // loops live or die by this body fusing into them (no per-tick call,
 // constants hoisted).
-template <bool kCompact, bool kMasked>
+template <bool kMasked>
 __attribute__((target("avx2"), always_inline)) inline int band_decide(
-    const BandEnv& E, Group& G, const int* cells,
-    const std::int32_t* pcell, std::size_t t,
+    const BandEnv& E, Group& G, std::size_t t,
     ReplicaBand::Spill* sp) noexcept {
   const __m256i vzero = _mm256_setzero_si256();
   const __m256i vm5 = _mm256_set1_epi32(-5);
@@ -182,7 +209,6 @@ __attribute__((target("avx2"), always_inline)) inline int band_decide(
   // Bias folding both +5 (λ-exponent row) and +12 (γ-exponent column)
   // into one add: wtab index = (a << 5) + b + (5*32 + 12).
   const __m256i vwbias = _mm256_set1_epi32(5 * 32 + 12);
-  const __m256i vidxmask = _mm256_set1_epi32((1 << 28) - 1);
   const __m256i vbits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
   const __m256i vlut = _mm256_loadu_si256(
       reinterpret_cast<const __m256i*>(kMoveOkWords.data()));
@@ -210,51 +236,44 @@ __attribute__((target("avx2"), always_inline)) inline int band_decide(
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(E.q + idx + 4)),
       11);
 
-  // One gather on the packed SoA: each lane's proposer address in the
-  // arena plus its encoded color. Band widths are usually 8 or 16, so
-  // a shift replaces the 10-cycle vpmulld heading the tick's whole
-  // gather dependency chain.
-  const __m256i vsoa = _mm256_add_epi32(
-      E.wshift >= 0
-          ? _mm256_slli_epi32(vpi, E.wshift)
-          : _mm256_mullo_epi32(vpi,
-                               _mm256_set1_epi32(static_cast<int>(E.W))),
-      G.vlane);
-  const __m256i vpc = _mm256_i32gather_epi32(pcell, vsoa, 4);
-  const __m256i vbase = _mm256_and_si256(vpc, vidxmask);
-  const __m256i vci = _mm256_srli_epi32(vpc, 28);
-
-  // The 10-node neighborhood across lanes: the per-direction offsets
-  // come from in-register permutes over the 6-entry tables (padded to
-  // 8), so only the arena cells themselves are gathered.
-  const __m256i vlpoff = _mm256_permutevar8x32_epi32(
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(E.lp_off)), vdir);
-  const __m256i vlpc =
-      gather_cell_hi<kCompact>(cells, _mm256_add_epi32(vbase, vlpoff));
+  // Each lane's proposer cell address from its address SoA, then its
+  // own cell for its encoded color. Every neighborhood cell sits at a
+  // per-direction offset from that address, picked out of the
+  // transposed offset tables by vpermd; the apron keeps every address
+  // inside the proposer's page.
+  const __m256i vaddr = gather_lanes(G.vabase, vpi);
+  const __m256i vci =
+      _mm256_srli_epi32(gather_lanes(G.vcbase, vaddr), cell::kNibbleShift);
+  const __m256i vlpc = gather_lanes(
+      G.vcbase,
+      _mm256_add_epi32(
+          vaddr, _mm256_permutevar8x32_epi32(
+                     _mm256_load_si256(
+                         reinterpret_cast<const __m256i*>(kGridOffsets.lp)),
+                     vdir)));
   const __m256i vlp_empty = _mm256_cmpeq_epi32(vlpc, vzero);
-  const __m256i vcj = _mm256_srli_epi32(vlpc, 28);
+  const __m256i vcj = _mm256_srli_epi32(vlpc, cell::kNibbleShift);
 
   // Occupancy/color sums accumulated on the fly over the node subsets
   // of neighborhood.hpp: e over ring 0..4, e' over ring {0,4,5,6,7}
   // (l' is empty on the move path, l is excluded per the reference
-  // index sets). Cells arrive in the normalized top-nibble form of
-  // gather_cell_hi: encoded colors are c ^ 0xF ∈ [8, 15], so an empty
-  // node never matches a color and the sign bit is set iff the cell is
-  // occupied — occupancy is one arithmetic shift, no compare. k runs
-  // descending so the ring bitmask builds by shift-accumulate (bit k ↔
-  // node k) with no per-k mask constants; every sum is
-  // order-independent.
+  // index sets). Cells are in the format of cell_codec.hpp: encoded
+  // colors are c ^ 0xF ∈ [8, 15], so an empty node never matches a
+  // color and the sign bit is set iff the cell is occupied — occupancy
+  // is one arithmetic shift, no compare. k runs descending so the ring
+  // bitmask builds by shift-accumulate (bit k ↔ node k) with no per-k
+  // mask constants; every sum is order-independent.
   __m256i socc = vzero, soccp = vzero, sei = vzero, sepi = vzero,
           snjl = vzero, snjlp = vzero, vring = vzero;
   for (int k = 7; k >= 0; --k) {
     const __m256i voff = _mm256_permutevar8x32_epi32(
         _mm256_load_si256(reinterpret_cast<const __m256i*>(
-            E.ring_off[static_cast<std::size_t>(k)])),
+            kGridOffsets.ring[static_cast<std::size_t>(k)])),
         vdir);
     const __m256i vc =
-        gather_cell_hi<kCompact>(cells, _mm256_add_epi32(vbase, voff));
+        gather_lanes(G.vcbase, _mm256_add_epi32(vaddr, voff));
     const __m256i vocc = _mm256_srai_epi32(vc, 31);
-    const __m256i vnib = _mm256_srli_epi32(vc, 28);
+    const __m256i vnib = _mm256_srli_epi32(vc, cell::kNibbleShift);
     const __m256i vmci = _mm256_cmpeq_epi32(vnib, vci);
     const __m256i vmcj = _mm256_cmpeq_epi32(vnib, vcj);
     if (k <= 4) {
@@ -381,7 +400,6 @@ ReplicaBand::ReplicaBand(std::span<SeparationChain* const> chains,
     }
   }
   simd_ = mode == Mode::kAuto && auto_simd();
-  compact_ = head.system().size() + 1 <= cell::kCompactIndexMask;
   const std::size_t w = chains_.size();
   group_lanes_ = simd_ ? w / 8 * 8 : 0;
   pipes_.resize(w);
@@ -390,9 +408,6 @@ ReplicaBand::ReplicaBand(std::span<SeparationChain* const> chains,
   q_.resize(block_size_ * w);
   raw_.resize(3 * block_size_);
   lane_counts_.resize(w);
-  gbase_.resize(w);
-  x0_.resize(w);
-  y0_.resize(w);
   // The 2-D threshold table (see the header): for each (a, b) compute
   // the exact IEEE product w = λ^a · γ^b that step() compares against,
   // then binary-search the monotone decoded-uniform curve for the
@@ -438,46 +453,28 @@ void ReplicaBand::run(std::span<const std::uint64_t> quotas) {
   const std::size_t G = group_lanes_;
   std::array<std::uint64_t, kMaxWidth> rem{};
   std::copy(quotas.begin(), quotas.end(), rem.begin());
-  if (G > 0) {
-    // The arena and SoA are derived state. They survive across run()
-    // calls as long as no group lane advanced outside the band: the
-    // step counters are monotone, so comparing them against the counts
-    // recorded at the last sync detects any interleaved serial stepping
-    // (see invalidate_arena() for the one case it cannot see).
-    // A refusal is recorded the same way, so a band whose arena was
-    // refused or declined does not rescan its lanes on every call.
-    bool fresh = arena_synced_;
-    for (std::size_t r = 0; fresh && r < G; ++r) {
-      fresh = chains_[r]->counters_.steps == synced_steps_[r];
+  std::uint64_t most = G > 0 ? *std::max_element(rem.begin(), rem.begin() + G)
+                             : 0;
+  std::array<std::size_t, kMaxWidth> active{};
+  while (most > 0) {
+    const std::size_t count =
+        static_cast<std::size_t>(std::min<std::uint64_t>(most, block_size_));
+    for (std::size_t r = 0; r < G; ++r) {
+      active[r] =
+          static_cast<std::size_t>(std::min<std::uint64_t>(rem[r], count));
     }
-    if (!fresh) rebuild_arena();
-    std::uint64_t most = *std::max_element(rem.begin(), rem.begin() + G);
-    std::array<std::size_t, kMaxWidth> active{};
-    while (arena_ok_ && most > 0) {
-      const std::size_t count =
-          static_cast<std::size_t>(std::min<std::uint64_t>(most, block_size_));
-      for (std::size_t r = 0; r < G; ++r) {
-        active[r] =
-            static_cast<std::size_t>(std::min<std::uint64_t>(rem[r], count));
-      }
-      run_block(active.data());
-      most = 0;
-      for (std::size_t r = 0; r < G; ++r) {
-        rem[r] -= active[r];
-        most = std::max(most, rem[r]);
-      }
+    run_block(active.data());
+    most = 0;
+    for (std::size_t r = 0; r < G; ++r) {
+      rem[r] -= active[r];
+      most = std::max(most, rem[r]);
     }
   }
-  // Whatever the SIMD groups did not run — every lane outside them, and
-  // all of them when the arena is refused or was declined — each lane's
-  // pipeline runs to the end of its quota.
-  for (std::size_t r = 0; r < width(); ++r) {
+  // Every lane outside the SIMD groups runs its whole quota through its
+  // pipeline.
+  for (std::size_t r = G; r < width(); ++r) {
     if (rem[r] > 0) run_lane(r, rem[r]);
   }
-  for (std::size_t r = 0; r < G; ++r) {
-    synced_steps_[r] = chains_[r]->counters_.steps;
-  }
-  arena_synced_ = true;
 }
 
 void ReplicaBand::run_lane(std::size_t r, std::uint64_t steps) {
@@ -491,97 +488,9 @@ void ReplicaBand::run_lane(std::size_t r, std::uint64_t steps) {
   stats_.scalar_steps += steps;
 }
 
-template <typename Cell>
-void ReplicaBand::fill_arena(std::vector<Cell>& cells, std::int64_t plane) {
-  const std::size_t W = width();
-  const std::size_t G = group_lanes_;
-  const std::size_t n = chains_[0]->sys_.size();
-  // Two cells of tail padding keep the compact path's scale-2 pair
-  // gathers (which read the addressed cell and its memory successor)
-  // inside the allocation at the last plane's edge.
-  cells.assign(
-      static_cast<std::size_t>(plane * static_cast<std::int64_t>(G)) + 2, 0);
-  pcell_.resize(n * W);
-  for (std::size_t r = 0; r < G; ++r) {
-    const system::ParticleSystem& sys = chains_[r]->sys_;
-    gbase_[r] = static_cast<std::int64_t>(r) * plane - y0_[r] * w_ - x0_[r];
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto pi = static_cast<ParticleIndex>(i);
-      const Node v = sys.position(pi);
-      const std::uint32_t color = sys.color(pi);
-      const auto idx = static_cast<std::uint32_t>(
-          gbase_[r] + static_cast<std::int64_t>(v.y) * w_ + v.x);
-      pcell_[i * W + r] =
-          static_cast<std::int32_t>(idx | ((color ^ 0xFu) << 28));
-      cells[idx] = cell::encode<Cell>(static_cast<std::uint32_t>(i), color);
-    }
-  }
-}
-
-void ReplicaBand::rebuild_arena() {
-  arena_ok_ = false;
-  const std::size_t G = group_lanes_;
-  // ParticleSystem's page-pool cap keeps n + 1 inside the wide index
-  // field, and so n below the 2^24 the vector decode requires.
-  const std::size_t n = chains_[0]->sys_.size();
-
-  std::int64_t wmax = 0;
-  std::int64_t hmax = 0;
-  for (std::size_t r = 0; r < G; ++r) {
-    const system::ParticleSystem& sys = chains_[r]->sys_;
-    std::int64_t xmin = std::numeric_limits<std::int64_t>::max();
-    std::int64_t xmax = std::numeric_limits<std::int64_t>::min();
-    std::int64_t ymin = xmin;
-    std::int64_t ymax = xmax;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Node v = sys.position(static_cast<ParticleIndex>(i));
-      xmin = std::min<std::int64_t>(xmin, v.x);
-      xmax = std::max<std::int64_t>(xmax, v.x);
-      ymin = std::min<std::int64_t>(ymin, v.y);
-      ymax = std::max<std::int64_t>(ymax, v.y);
-    }
-    x0_[r] = xmin - kMargin;
-    y0_[r] = ymin - kMargin;
-    wmax = std::max(wmax, (xmax - xmin + 1) + 2 * kMargin);
-    hmax = std::max(hmax, (ymax - ymin + 1) + 2 * kMargin);
-  }
-  // The box rule on the shared extent: refuse pathological boxes and
-  // let the lane pipelines carry them. The kIdxBits bound keeps every
-  // packed cell address inside its field.
-  const std::int64_t plane = wmax * hmax;
-  if (plane > plane_cap(n) ||
-      plane * static_cast<std::int64_t>(G) >
-          static_cast<std::int64_t>(kIdxMask)) {
-    ++stats_.arena_refusals;
-    return;
-  }
-
-  w_ = wmax;
-  h_ = hmax;
-  if (compact_) {
-    fill_arena(cells16_, plane);
-  } else {
-    fill_arena(cells_, plane);
-  }
-  for (int d = 0; d < 6; ++d) {
-    const auto off = [&](Node v) {
-      return static_cast<std::int32_t>(static_cast<std::int64_t>(v.y) * w_ +
-                                       v.x);
-    };
-    lp_off_[static_cast<std::size_t>(d)] = off(lattice::neighbor(Node{}, d));
-    const EdgeRing ring = EdgeRing::around(Node{}, d);
-    for (std::size_t k = 0; k < 8; ++k) {
-      ring_off_[k][static_cast<std::size_t>(d)] = off(ring.nodes[k]);
-    }
-  }
-  ++stats_.arena_rebuilds;
-  arena_ok_ = true;
-}
-
 void ReplicaBand::run_block(const std::size_t* active) {
   ++stats_.blocks;
   const std::size_t G = group_lanes_;
-  const std::size_t W = width();
 
   // DECODE: each full 8-lane group runs the vectorized generator+Lemire
   // path over the group's uniform tick prefix; ragged per-lane tails use
@@ -599,35 +508,14 @@ void ReplicaBand::run_block(const std::size_t* active) {
 
   // EXECUTE: one walker for one group or, at width 16, both groups
   // interleaved through one tick loop; lanes whose quota ends early are
-  // masked off tick by tick. It returns the tick it stopped at: the
-  // block's end, or one past the tick whose drift rebuild declined the
-  // arena.
-  const std::size_t stop =
-      G == 16 ? (compact_ ? execute_group_simd<true, 2>(active)
-                          : execute_group_simd<false, 2>(active))
-              : (compact_ ? execute_group_simd<true, 1>(active)
-                          : execute_group_simd<false, 1>(active));
-  std::array<std::size_t, kMaxWidth> done{};
-  for (std::size_t r = 0; r < G; ++r) {
-    done[r] = std::min(stop, active[r]);
-    stats_.simd_steps += done[r];
+  // masked off tick by tick.
+  if (G == 16) {
+    execute_group_simd<2>(active);
+  } else {
+    execute_group_simd<1>(active);
   }
-  flush_counters(done.data());
-  if (arena_ok_) return;
-  // A drift rebuild declined the arena mid-block. Every lane's block is
-  // decoded and its stream already sits past its last tick, so step()'s
-  // own body finishes the remaining ticks from the decoded proposals,
-  // over the lane's grid, which every accept kept current.
-  for (std::size_t r = 0; r < G; ++r) {
-    if (done[r] == active[r]) continue;
-    SeparationChain& chain = *chains_[r];
-    for (std::size_t t = done[r]; t < active[r]; ++t) {
-      chain.step_with(static_cast<ParticleIndex>(pi_[t * W + r]),
-                      static_cast<int>(dir_[t * W + r]),
-                      util::decode_uniform_open(q_[t * W + r]));
-    }
-    stats_.scalar_steps += active[r] - done[r];
-  }
+  for (std::size_t r = 0; r < G; ++r) stats_.simd_steps += active[r];
+  flush_counters(active);
 }
 
 void ReplicaBand::decode_lane(std::size_t r, std::size_t from,
@@ -655,87 +543,28 @@ void ReplicaBand::decode_lane(std::size_t r, std::size_t from,
   stats_.tail_words += tail;
 }
 
-template <bool kCompact>
 void ReplicaBand::apply_group(std::size_t g8, int mm_macc, int mm_sacc,
                               const Spill& sp) {
-  using Cell =
-      std::conditional_t<kCompact, std::uint16_t, std::uint32_t>;
-  constexpr int kNibShift = cell::kNibbleShift<Cell>;
-  const std::size_t W = width();
-
-  // Apply accepted lanes scalar through the delta-fed mutators step()
-  // uses, which keep each lane's own grid current, then mirror the
-  // accept into the arena. Arena addresses are re-read from the live
-  // packed SoA (an earlier lane's drift rebuild may have re-centered
-  // the planes); a declined rebuild finishes the tick's remaining
-  // applies without the arena — the decisions are already made — and
-  // the caller finishes the rest of the block through step_with().
+  // Accepted lanes apply scalar through the delta-fed mutators step()
+  // uses, which keep each lane's grid current.
   for (int m = mm_macc; m != 0; m &= m - 1) {
     const int j = std::countr_zero(static_cast<unsigned>(m));
-    const std::size_t r = g8 + static_cast<std::size_t>(j);
-    system::ParticleSystem& sys = chains_[r]->sys_;
+    system::ParticleSystem& sys =
+        chains_[g8 + static_cast<std::size_t>(j)]->sys_;
     const auto pi = static_cast<ParticleIndex>(sp.pi[j]);
-    const Node l = sys.position(pi);
-    const Node dst = lattice::neighbor(l, static_cast<int>(sp.dir[j]));
+    const Node dst =
+        lattice::neighbor(sys.position(pi), static_cast<int>(sp.dir[j]));
     sys.apply_move(pi, dst, sp.de[j], sp.dh[j]);
-    if (!arena_ok_) continue;
-    Cell* const cl = kCompact
-                         ? reinterpret_cast<Cell*>(cells16_.data())
-                         : reinterpret_cast<Cell*>(cells_.data());
-    const std::size_t soa = static_cast<std::size_t>(sp.pi[j]) * W + r;
-    const auto pc = static_cast<std::uint32_t>(pcell_[soa]);
-    const std::int64_t base = pc & kIdxMask;
-    const std::int64_t lp_cell =
-        base + lp_off_[static_cast<std::size_t>(sp.dir[j])];
-    cl[lp_cell] = cl[base];
-    cl[base] = 0;
-    pcell_[soa] = static_cast<std::int32_t>(
-        (pc & ~kIdxMask) | static_cast<std::uint32_t>(lp_cell));
-    if (dst.x - x0_[r] < kSlack || x0_[r] + w_ - 1 - dst.x < kSlack ||
-        dst.y - y0_[r] < kSlack || y0_[r] + h_ - 1 - dst.y < kSlack) {
-      rebuild_arena();
-    }
   }
   for (int m = mm_sacc; m != 0; m &= m - 1) {
     const int j = std::countr_zero(static_cast<unsigned>(m));
-    const std::size_t r = g8 + static_cast<std::size_t>(j);
-    system::ParticleSystem& sys = chains_[r]->sys_;
-    const auto pi = static_cast<ParticleIndex>(sp.pi[j]);
-    // The decide kernel hands back lp cells in the normalized top-
-    // nibble form, so the swap partner's index sits at bit 16 under the
-    // compact layout and bit 0 under the wide one.
-    const auto lpc = static_cast<std::uint32_t>(sp.lpc[j]);
-    const auto qj =
-        static_cast<ParticleIndex>(
-            kCompact ? ((lpc >> 16) & cell::kCompactIndexMask)
-                     : (lpc & cell::kWideIndexMask)) -
-        1;
-    sys.apply_swap(pi, qj, -sp.sx[j]);
-    if (!arena_ok_) continue;
-    // The mirror exchange masks to a no-op for same-color swaps,
-    // matching apply_swap leaving the positions untouched.
-    Cell* const cl = kCompact
-                         ? reinterpret_cast<Cell*>(cells16_.data())
-                         : reinterpret_cast<Cell*>(cells_.data());
-    const std::size_t si = static_cast<std::size_t>(sp.pi[j]) * W + r;
-    const std::size_t sj = static_cast<std::size_t>(qj) * W + r;
-    const auto pci = static_cast<std::uint32_t>(pcell_[si]);
-    const std::int64_t base = pci & kIdxMask;
-    const std::int64_t lp_cell =
-        base + lp_off_[static_cast<std::size_t>(sp.dir[j])];
-    const std::uint32_t a = cl[base];
-    const std::uint32_t b = cl[lp_cell];
-    const std::uint32_t mask =
-        ((a ^ b) >> kNibShift) != 0 ? ~std::uint32_t{0} : 0;
-    cl[base] = static_cast<Cell>(a ^ ((a ^ b) & mask));
-    cl[lp_cell] = static_cast<Cell>(b ^ ((a ^ b) & mask));
-    if (mask != 0) {
-      const auto pcj = static_cast<std::uint32_t>(pcell_[sj]);
-      pcell_[si] = static_cast<std::int32_t>((pci & ~kIdxMask) |
-                                             (pcj & kIdxMask));
-      pcell_[sj] = static_cast<std::int32_t>((pcj & ~kIdxMask) |
-                                             (pci & kIdxMask));
-    }
+    system::ParticleSystem& sys =
+        chains_[g8 + static_cast<std::size_t>(j)]->sys_;
+    const auto qj = static_cast<ParticleIndex>(
+                        static_cast<std::uint32_t>(sp.lpc[j]) &
+                        cell::kIndexMask) -
+                    1;
+    sys.apply_swap(static_cast<ParticleIndex>(sp.pi[j]), qj, -sp.sx[j]);
   }
 }
 
@@ -842,103 +671,59 @@ __attribute__((target("avx2"))) void ReplicaBand::decode_group_simd(
   }
 }
 
-template <bool kCompact, std::size_t kGroups>
-__attribute__((target("avx2"))) std::size_t ReplicaBand::execute_group_simd(
+template <std::size_t kGroups>
+__attribute__((target("avx2"))) void ReplicaBand::execute_group_simd(
     const std::size_t* active) {
   // At kGroups = 2 (width 16) both 8-lane groups advance through ONE
   // tick loop, the second group's decide issued while the first one's
   // gathers are still in flight, so neither group's gather latency
   // serializes the tick. Each tick decides every group, then applies
-  // every group, then checks the arena. Lanes never read another lane's
-  // plane, so running both decides before either apply changes
-  // scheduling, not results; the applies re-read the live packed SoA.
+  // every group. Lanes never read another lane's grid, so running both
+  // decides before either apply changes scheduling, not results.
   constexpr std::size_t kLanes = 8 * kGroups;
-  const std::size_t W = width();
-  // Two groups fill a width-16 band, so the proposer-index shift is a
-  // compile-time immediate there.
-  const BandEnv env{pi_.data(),
-                    dir_.data(),
-                    q_.data(),
-                    itab_,
-                    ring_off_,
-                    lp_off_,
-                    W,
-                    kGroups == 2 ? 4
-                    : (W & (W - 1)) == 0
-                        ? static_cast<int>(std::countr_zero(W))
-                        : -1,
+  const BandEnv env{pi_.data(), dir_.data(), q_.data(), itab_, width(),
                     chains_[0]->params_.swaps_enabled};
   Group grp[kGroups];
 #pragma GCC unroll 2
-  for (std::size_t g = 0; g < kGroups; ++g) group_init(grp[g], 8 * g, active);
+  for (std::size_t g = 0; g < kGroups; ++g) {
+    group_init(grp[g], 8 * g, active, chains_.data());
+  }
   const std::size_t to = *std::max_element(active, active + kLanes);
   const std::size_t tmin = *std::min_element(active, active + kLanes);
-  std::size_t stop = to;
 
   // Ticks below every lane's quota run the maskless decide; only the
   // ragged tail (usually empty — uniform quotas are the common case)
-  // pays the per-tick quota masking. The arena pointers are refreshed
-  // only after a tick that applied something — a drift rebuild inside
-  // the apply phase is the only thing that moves cells/pcell_ — so the
-  // common all-reject tick never reloads them. A declined drift rebuild
-  // in one group's applies must not skip the other's: the decisions are
-  // already made, and apply_group itself skips only the arena mirroring
-  // once arena_ok_ is down.
-  const auto arena_cells = [this]() noexcept {
-    return kCompact ? reinterpret_cast<const int*>(cells16_.data())
-                    : reinterpret_cast<const int*>(cells_.data());
-  };
+  // pays the per-tick quota masking. A group's cell bases are re-loaded
+  // only after a tick that applied something — an apply that creates a
+  // page is the only thing that moves a lane's pool — so the common
+  // all-reject tick never reloads them.
   Spill sp[kGroups];
   int mm[kGroups];
-  bool down = false;
   std::size_t t = 0;
-  const int* cells = arena_cells();
-  const std::int32_t* pcell = pcell_.data();
   for (; t < tmin; ++t) {
-    int any = 0;
 #pragma GCC unroll 2
     for (std::size_t g = 0; g < kGroups; ++g) {
-      mm[g] =
-          band_decide<kCompact, false>(env, grp[g], cells, pcell, t, &sp[g]);
-      any |= mm[g];
+      mm[g] = band_decide<false>(env, grp[g], t, &sp[g]);
     }
-    if (any != 0) {
 #pragma GCC unroll 2
-      for (std::size_t g = 0; g < kGroups; ++g) {
-        if (mm[g] != 0) {
-          apply_group<kCompact>(8 * g, mm[g] & 0xFF, mm[g] >> 8, sp[g]);
-        }
+    for (std::size_t g = 0; g < kGroups; ++g) {
+      if (mm[g] != 0) {
+        apply_group(8 * g, mm[g] & 0xFF, mm[g] >> 8, sp[g]);
+        load_cell_bases(grp[g], chains_.data());
       }
-      if (!arena_ok_) {
-        stop = t + 1;
-        down = true;
-        break;
-      }
-      cells = arena_cells();
-      pcell = pcell_.data();
     }
   }
-  for (; !down && t < to; ++t) {
-    int any = 0;
+  for (; t < to; ++t) {
 #pragma GCC unroll 2
     for (std::size_t g = 0; g < kGroups; ++g) {
-      mm[g] =
-          band_decide<kCompact, true>(env, grp[g], cells, pcell, t, &sp[g]);
-      any |= mm[g];
+      mm[g] = band_decide<true>(env, grp[g], t, &sp[g]);
     }
-    if (any != 0) {
 #pragma GCC unroll 2
-      for (std::size_t g = 0; g < kGroups; ++g) {
-        if (mm[g] != 0) {
-          apply_group<kCompact>(8 * g, mm[g] & 0xFF, mm[g] >> 8, sp[g]);
-        }
+    for (std::size_t g = 0; g < kGroups; ++g) {
+      if (mm[g] != 0) {
+        apply_group(8 * g, mm[g] & 0xFF, mm[g] >> 8, sp[g]);
+        load_cell_bases(grp[g], chains_.data());
       }
-      if (!arena_ok_) {
-        stop = t + 1;
-        break;
-      }
-      cells = arena_cells();
-      pcell = pcell_.data();
     }
   }
 
@@ -963,7 +748,6 @@ __attribute__((target("avx2"))) std::size_t ReplicaBand::execute_group_simd(
       lc.swaps_accepted += static_cast<std::uint32_t>(acc[6][j]);
     }
   }
-  return stop;
 }
 
 #else  // !SOPS_BAND_X86
@@ -974,21 +758,14 @@ void ReplicaBand::decode_group_simd(std::size_t g8, std::size_t ticks) {
   for (std::size_t j = 0; j < 8; ++j) decode_lane(g8 + j, 0, ticks);
 }
 
-template <bool kCompact, std::size_t kGroups>
-std::size_t ReplicaBand::execute_group_simd(const std::size_t*) {
+template <std::size_t kGroups>
+void ReplicaBand::execute_group_simd(const std::size_t*) {
   // Unreachable: simd_ can never be true off x86-64 (auto_simd() is
   // false), so no lane ever reaches a SIMD group.
-  return 0;
 }
 
-template std::size_t ReplicaBand::execute_group_simd<true, 1>(
-    const std::size_t*);
-template std::size_t ReplicaBand::execute_group_simd<false, 1>(
-    const std::size_t*);
-template std::size_t ReplicaBand::execute_group_simd<true, 2>(
-    const std::size_t*);
-template std::size_t ReplicaBand::execute_group_simd<false, 2>(
-    const std::size_t*);
+template void ReplicaBand::execute_group_simd<1>(const std::size_t*);
+template void ReplicaBand::execute_group_simd<2>(const std::size_t*);
 
 #endif
 

@@ -21,65 +21,46 @@
 //    (Rng::fill + lemire_below) as well.
 //    Proposals land in lane-transposed arrays (tick-major, lane-minor)
 //    so one tick's band of proposals is a contiguous vector load.
-//  - EXECUTE vectorizes ACROSS lanes. Every replica owns a dense
-//    occupancy-mirror plane inside one contiguous arena with shared
-//    plane geometry, so the ten neighborhood loads of eight replicas
-//    become AVX2 gathers; the per-direction cell offsets and the
-//    Properties 4/5 ring LUT are answered by in-register permutes
-//    (vpermd) rather than more gathers, a packed per-particle SoA
-//    (arena cell index + color nibble in one int32) collapses the
-//    position/color lookups to a single gather, and the Metropolis
-//    accept comes from gathered pow_lambda_/pow_gamma_ table loads —
-//    the move and swap weight indices are blended into one shared
-//    multiply+compare, exact because λ^0 ≡ 1.0 — bit-identical per
-//    lane to step()'s `q >= λ^Δe · γ^Δe_i` (resp. `q >= γ^sx`) test.
+//  - EXECUTE vectorizes ACROSS lanes, reading each lane's own paged
+//    occupancy grid (particle_system.hpp) — the one occupancy
+//    structure every executor shares, never stale and never refused.
+//    Lanes have separate page pools, so a group keeps one 64-bit
+//    lane-base vector per four lanes for each pool (its cells() and
+//    addresses() pointers divided by 4). A tick gathers each lane's
+//    proposer address from addresses(), adds the compile-time
+//    grid::kRingOffset/kLpOffset offsets (transposed once and picked by
+//    direction with vpermd), widens the sums to 64 bits beside the lane
+//    bases, and gathers the 10-node neighborhood with
+//    _mm256_i64gather_epi32, two per eight lanes; the proposer's color
+//    nibble comes from its own cell. The Properties 4/5 ring LUT is
+//    answered by an in-register permute, and the Metropolis accept
+//    comes from gathered integer thresholds (itab_ below) — the move
+//    and swap weight indices are blended into one shared compare, exact
+//    because λ^0 ≡ 1.0 — bit-identical per lane to step()'s
+//    `q >= λ^Δe · γ^Δe_i` (resp. `q >= γ^sx`) test.
 //    Lanes whose step quota ran out mid-block are masked off inside
 //    the tick instead of demoting the group, so ragged quotas stay
 //    vectorized. Accepted lanes apply scalar through the delta-fed
-//    mutators step() uses, which keep the lane's own paged grid
-//    (particle_system.hpp) current, and are mirrored into the arena.
+//    mutators step() uses, which keep the lane's grid current; a page
+//    created by an apply can reallocate that lane's pool, so the cell
+//    bases are re-loaded after every tick that applied something.
 //    Nothing is left to repair when run() returns.
-//
-// Arena cells use the layouts of src/sops/cell_codec.hpp, fixed by n at
-// construction: the compact 16-bit encoding (index+1 in 12 bits, color
-// nibble at 12..15) whenever n + 1 fits its index field, halving the
-// per-plane footprint so even eight n=1600 planes stay cache-resident;
-// the wide 32-bit encoding (the grid's) above n = 4094. A
-// band's n never changes, so neither does its layout. Compact cells are
-// gathered pairwise with scale-2 epi32 gathers and widened in-register
-// — one shift normalizes either layout to the same top-nibble form, so
-// the decision kernel is layout-generic.
 //
 // One SIMD walker serves one group or two. Width-16 bands run their two
 // 8-lane groups *interleaved* through it: each tick decides both groups
 // (group B's neighborhood gathers issue while group A's SWAR/LUT/
 // Metropolis arithmetic is still in flight, so gather latency hides
-// behind the other group's independent work), then applies both, then
-// checks the arena. Lanes are independent chains, so the pairing
-// changes instruction scheduling only, never any lane's trajectory.
+// behind the other group's independent work), then applies both. Lanes
+// are independent chains, so the pairing changes instruction
+// scheduling only, never any lane's trajectory.
 //
-// The arena is a bounding-box structure and keeps the box rule: each
-// plane spans its lane's particles plus kMargin cells on every side, a
-// move landing within kSlack (> the gather's 2-cell reach) of the edge
-// re-centers the planes, and a plane above plane_cap(n) cells is
-// refused — connected blobs stay far below it, disconnected outliers
-// can blow the box up without bound.
-//
-// Dispatch is runtime: the SIMD path engages only when the CPU reports
-// AVX2, `SOPS_FORCE_SCALAR` is not set, and the arena covers every
-// group lane's bounding box economically. Every lane outside a full
-// 8-lane group runs through its own StepPipeline (step_pipeline.hpp),
-// built on first use, for its whole remaining quota: Mode::kScalar and
-// non-AVX2 hosts, the W % 8 remainder lanes, and group lanes whose
-// arena is refused at entry or was declined. A refusal is recorded
-// like a built arena, so later run() calls rescan only after a lane
-// stepped outside the band or invalidate_arena(). When a drift rebuild
-// declines the arena mid-block, the block is already decoded, so each
-// group lane finishes its remaining ticks through
-// SeparationChain::step_with — step()'s own body over the lane's grid —
-// before its pipeline takes over at the next block boundary. No stream
-// is rewound and no word is drawn twice. All paths produce the same
-// bytes.
+// Dispatch is runtime: the SIMD path engages when the CPU reports AVX2
+// and `SOPS_FORCE_SCALAR` is not set, whatever the lanes' shapes. Every
+// lane outside a full 8-lane group runs through its own StepPipeline
+// (step_pipeline.hpp), built on first use, for its whole quota:
+// Mode::kScalar and non-AVX2 hosts, and the W % 8 remainder lanes. No
+// stream is rewound and no word is drawn twice. All paths produce the
+// same bytes.
 //
 // The contract, pinned by tests/replica_band_test.cpp: after
 // ReplicaBand::run, every bound chain is byte-identical to a twin
@@ -87,8 +68,6 @@
 // colors, edge counts, all eight counters, and post-run RNG state.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -96,7 +75,6 @@
 
 #include "src/core/markov_chain.hpp"
 #include "src/core/step_pipeline.hpp"
-#include "src/sops/cell_codec.hpp"
 
 // Member templates need the target attribute on their in-class
 // declaration: GCC resolves a template's target at instantiation from
@@ -108,8 +86,6 @@
 #endif
 
 namespace sops::core {
-
-namespace cell = system::cell;
 
 class ReplicaBand {
  public:
@@ -137,9 +113,10 @@ class ReplicaBand {
     std::uint64_t refill_words = 0;  ///< bulk-refilled raw words
     std::uint64_t tail_words = 0;    ///< Lemire-rejection spill draws
     std::uint64_t simd_steps = 0;    ///< steps executed on the SIMD path
-    std::uint64_t scalar_steps = 0;  ///< lane pipelines + step_with()
-    std::uint64_t arena_rebuilds = 0;///< arena (re)builds
-    std::uint64_t arena_refusals = 0;///< arena scans refused by the box rule
+    std::uint64_t scalar_steps = 0;  ///< steps run by the lane pipelines
+    /// Always 0 (the band keeps no arena); stays for perfbench until the
+    /// next benchmark change.
+    std::uint64_t arena_rebuilds = 0;
   };
 
   /// Binds to `chains` (kept by pointer; all must outlive the band).
@@ -159,57 +136,22 @@ class ReplicaBand {
   /// exactly quotas[r] steps. Lanes whose quota runs out mid-block are
   /// masked off tick by tick; the rest stay vectorized. This is how the
   /// ensemble drives replicas whose measurement schedules diverge.
-  ///
-  /// The arena — or its refusal — survives across run() calls: it is
-  /// rebuilt only when a group lane's step counter moved outside the
-  /// band (the counter is monotone, so any interleaved serial stepping
-  /// is detected). The one
-  /// blind spot is replacing a chain's state in place at an identical
-  /// step count (e.g. restoring a foreign checkpoint into a bound
-  /// chain); call invalidate_arena() after such a swap.
+  /// The band keeps no state of its lanes' configurations, so a chain
+  /// may be stepped or restored between run() calls.
   void run(std::span<const std::uint64_t> quotas);
-
-  /// Drops the cached arena (or its refusal); the next run() rescans the
-  /// live systems. Needed only after mutating a bound chain's
-  /// configuration without advancing its step counter.
-  void invalidate_arena() noexcept {
-    arena_ok_ = false;
-    arena_synced_ = false;
-  }
 
   [[nodiscard]] std::size_t width() const noexcept { return chains_.size(); }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  /// True when the resolved mode can use AVX2 (arena permitting).
+  /// True when the resolved mode uses AVX2 for the full 8-lane groups.
   [[nodiscard]] bool simd_enabled() const noexcept { return simd_; }
-  /// True when an arena is live and uses the compact 16-bit cell
-  /// layout (n <= cell::kCompactIndexMask - 1). Exposed so the
-  /// layout-boundary tests can pin the selection.
-  [[nodiscard]] bool arena_compact() const noexcept {
-    return arena_ok_ && compact_;
-  }
+  /// Always false (the band keeps no arena); stays for perfbench until
+  /// the next benchmark change.
+  [[nodiscard]] bool arena_compact() const noexcept { return false; }
 
   /// What Mode::kAuto resolves to on this machine right now (CPU
   /// capability ∧ !SOPS_FORCE_SCALAR). Exposed for tests and benches.
   [[nodiscard]] static bool auto_simd() noexcept;
 
- private:
-  // Packed per-particle SoA: low kIdxBits bits hold the particle's
-  // arena cell index, top nibble its encoded color (c ^ 0xF). This
-  // encoding is layout-independent — only the arena cells themselves
-  // shrink under the compact layout.
-  static constexpr int kIdxBits = 28;
-  static constexpr std::uint32_t kIdxMask = (1u << kIdxBits) - 1;
-
-  // The arena's box rule (see the file comment).
-  static constexpr std::int64_t kMargin = 8;
-  static constexpr std::int64_t kSlack = 3;
-  [[nodiscard]] static constexpr std::int64_t plane_cap(
-      std::size_t n) noexcept {
-    return std::max<std::int64_t>(std::int64_t{1} << 20,
-                                  32 * static_cast<std::int64_t>(n));
-  }
-
- public:
   /// Spilled per-tick decision vectors of one 8-lane group, handed from
   /// the SIMD decide kernel to the scalar apply walk. Written only on
   /// ticks with at least one accepted lane — most ticks never touch it.
@@ -223,11 +165,8 @@ class ReplicaBand {
   };
 
  private:
-
   /// Runs one block of the group lanes [0, group_lanes_): `active[r]`
-  /// ticks each. When a drift rebuild declines the arena mid-block,
-  /// each lane's remaining decoded ticks finish through step_with(), so
-  /// every lane always completes its active[r] ticks.
+  /// ticks each.
   void run_block(const std::size_t* active);
   /// Advances lane `r` by `steps` through its pipeline (built on first
   /// use) and folds the pipeline's telemetry into stats_.
@@ -243,37 +182,23 @@ class ReplicaBand {
   /// range).
   void decode_group_simd(std::size_t g8, std::size_t ticks);
   /// The band's one SIMD walker: executes ticks [0, max active[r]) for
-  /// the kGroups 8-lane groups at lanes 0 and 8 with AVX2 gathers;
-  /// lanes whose active count is below the current tick are masked off.
-  /// At kGroups = 2 the two groups' instruction streams interleave so
-  /// one group's gathers overlap the other's arithmetic. Returns the
-  /// tick it stopped at (the max normally; one past the tick whose
-  /// drift rebuild declined the arena).
-  template <bool kCompact, std::size_t kGroups>
-  SOPS_BAND_AVX2_FN std::size_t execute_group_simd(const std::size_t* active);
+  /// the kGroups 8-lane groups at lanes 0 and 8 with AVX2 gathers from
+  /// the lanes' grids; lanes whose active count is below the current
+  /// tick are masked off. At kGroups = 2 the two groups' instruction
+  /// streams interleave so one group's gathers overlap the other's
+  /// arithmetic.
+  template <std::size_t kGroups>
+  SOPS_BAND_AVX2_FN void execute_group_simd(const std::size_t* active);
   /// Applies one group's accepted moves/swaps (mask bits of mm_macc /
-  /// mm_sacc) scalar through the delta-fed mutators, mirroring each
-  /// into the arena while it is up. A drift
-  /// rebuild may decline the arena (arena_ok_ = false); the caller
-  /// stops the SIMD walk after the tick.
-  template <bool kCompact>
+  /// mm_sacc) scalar through the delta-fed mutators.
   void apply_group(std::size_t g8, int mm_macc, int mm_sacc, const Spill& sp);
-
-  /// (Re)builds the shared-geometry arena of the group lanes in the
-  /// layout fixed by n, plus their position/color SoA and the direction
-  /// offset tables; arena_ok_ = false (a refusal) when any group lane's
-  /// bounding box makes the shared plane uneconomical.
-  void rebuild_arena();
-  template <typename Cell>
-  void fill_arena(std::vector<Cell>& cells, std::int64_t plane);
   void flush_counters(const std::size_t* done);
 
   std::vector<SeparationChain*> chains_;
   std::size_t block_size_;
   bool simd_ = false;
-  bool compact_ = false;  ///< 16-bit cell layout (fixed by n)
-  /// Lanes in full 8-lane SIMD groups (0, 8 or 16); the rest, and all
-  /// of them whenever the arena is down, run through pipes_.
+  /// Lanes in full 8-lane SIMD groups (0, 8 or 16); the rest run
+  /// through pipes_.
   std::size_t group_lanes_ = 0;
   std::vector<std::unique_ptr<StepPipeline>> pipes_;
 
@@ -286,32 +211,6 @@ class ReplicaBand {
   std::vector<std::int32_t> dir_;
   std::vector<std::uint64_t> q_;
   std::vector<std::uint64_t> raw_;  ///< per-lane refill buffer (reused)
-
-  // Arena: one dense mirror plane of w_*h_ cells per lane, planes
-  // consecutive. Lane r's cell for axial (x, y) sits at
-  // gbase_[r] + y*w_ + x — the per-lane origin is folded into gbase_,
-  // so a particle's whole arena address is one int32. Only the store of
-  // the band's layout is ever filled (cells16_ carries two cells of
-  // tail padding so the scale-2 pair gathers of the SIMD path never
-  // read past the allocation).
-  std::vector<std::uint32_t> cells_;
-  std::vector<std::uint16_t> cells16_;
-  std::vector<std::int64_t> gbase_;
-  std::vector<std::int64_t> x0_, y0_;  ///< per-lane box origins
-  std::int64_t w_ = 0, h_ = 0;         ///< shared plane extent
-  bool arena_ok_ = false;
-
-  // Packed particle SoA, lane-minor like the proposals: particle i of
-  // lane r at [i * width + r] holds (arena cell index | nibble << 28),
-  // so one gather yields both the proposer's address and its encoded
-  // color.
-  std::vector<std::int32_t> pcell_;
-
-  // Per-direction cell offsets (function of shared w_ only) in the
-  // pipeline's ring order, transposed and padded for vpermd lookup by
-  // dir: ring_off_[k][dir], dirs 6 and 7 unused.
-  alignas(32) std::int32_t ring_off_[8][8] = {};
-  alignas(32) std::int32_t lp_off_[8] = {};
 
   // 2-D Metropolis threshold table, indexed like the weight grid:
   // itab_[(a+5)*kWtabStride + (b+12)] counts the raw-draw values v in
@@ -327,12 +226,6 @@ class ReplicaBand {
   // shift+add. ~2.8 KB, L1-resident.
   static constexpr int kWtabStride = 32;
   alignas(64) std::int64_t itab_[11 * kWtabStride] = {};
-
-  // Arena reuse across run() calls: the per-lane step counters at last
-  // sync. A mismatch on entry means the chain advanced outside the
-  // band, so the arena (or its refusal) is stale and run() rescans.
-  std::array<std::uint64_t, kMaxWidth> synced_steps_{};
-  bool arena_synced_ = false;
 
   // Per-lane counter accumulators, flushed per block.
   struct LaneCounts {

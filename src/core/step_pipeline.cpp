@@ -13,27 +13,8 @@ namespace sops::core {
 
 using system::NeighborhoodGather;
 using system::ParticleIndex;
+using detail::kGridOffsets;
 namespace cell = system::cell;
-namespace grid = system::grid;
-
-namespace {
-
-// The grid's direction offsets transposed for vpermd selection by a
-// direction vector: ring[k][dir] (dirs 6/7 unused).
-struct WindowOffsets {
-  alignas(32) std::int32_t ring[8][8];
-  alignas(32) std::int32_t lp[8];
-};
-constexpr WindowOffsets kWindowOffsets = [] {
-  WindowOffsets w{};
-  for (std::size_t d = 0; d < 6; ++d) {
-    for (std::size_t k = 0; k < 8; ++k) w.ring[k][d] = grid::kRingOffset[d][k];
-    w.lp[d] = grid::kLpOffset[d];
-  }
-  return w;
-}();
-
-}  // namespace
 
 StepPipeline::StepPipeline(SeparationChain& chain, std::size_t block_size)
     : chain_(chain),
@@ -75,7 +56,7 @@ SOPS_PIPE_AVX2_FN void StepPipeline::spec_gather8(std::size_t i0) {
       cbase,
       _mm256_add_epi32(vbase, _mm256_permutevar8x32_epi32(
                                   _mm256_load_si256(reinterpret_cast<const __m256i*>(
-                                      kWindowOffsets.lp)),
+                                      kGridOffsets.lp)),
                                   vdir)),
       4);
   const __m256i vzero = _mm256_setzero_si256();
@@ -87,7 +68,7 @@ SOPS_PIPE_AVX2_FN void StepPipeline::spec_gather8(std::size_t i0) {
   for (int k = 7; k >= 0; --k) {
     const __m256i voff = _mm256_permutevar8x32_epi32(
         _mm256_load_si256(
-            reinterpret_cast<const __m256i*>(kWindowOffsets.ring[k])),
+            reinterpret_cast<const __m256i*>(kGridOffsets.ring[k])),
         vdir);
     const __m256i vc =
         _mm256_i32gather_epi32(cbase, _mm256_add_epi32(vbase, voff), 4);
@@ -97,7 +78,7 @@ SOPS_PIPE_AVX2_FN void StepPipeline::spec_gather8(std::size_t i0) {
         _mm256_add_epi32(vocc, vocc),
         _mm256_add_epi32(vone, _mm256_cmpeq_epi32(vc, vzero)));
     vnib = _mm256_or_si256(_mm256_slli_epi32(vnib, 4),
-                           _mm256_srli_epi32(vc, cell::kWideNibbleShift));
+                           _mm256_srli_epi32(vc, cell::kNibbleShift));
   }
   vocc = _mm256_or_si256(vocc,
                          _mm256_set1_epi32(1 << NeighborhoodGather::kNodeL));
@@ -169,10 +150,10 @@ void StepPipeline::run_block(std::size_t count) {
       g.occ = static_cast<std::uint16_t>(spec_occ_[i]);
       g.color_nibbles ^=
           static_cast<std::uint64_t>(spec_nib_[i]) |
-          (static_cast<std::uint64_t>(lpc >> cell::kWideNibbleShift) << 36) |
+          (static_cast<std::uint64_t>(lpc >> cell::kNibbleShift) << 36) |
           (static_cast<std::uint64_t>(sys.color(pi) ^ 0xFu) << 32);
       g.p_at_l = pi;
-      g.p_at_lp = static_cast<ParticleIndex>(lpc & cell::kWideIndexMask) - 1;
+      g.p_at_lp = static_cast<ParticleIndex>(lpc & cell::kIndexMask) - 1;
       ++stats_.speculative_hits;
       changes += chain_.step_with(pi, sdir_[i], sq_[i], &g);
     } else {

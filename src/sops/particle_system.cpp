@@ -198,7 +198,7 @@ void ParticleSystem::recount_edges() noexcept {
                          cells_[static_cast<std::size_t>(
                              addr_[i] + grid::kLpOffset[
                                             static_cast<std::size_t>(k)])] &
-                         cell::kWideIndexMask) -
+                         cell::kIndexMask) -
                      1;
       if (p == kNoParticle) continue;
       ++edges;

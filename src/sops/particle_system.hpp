@@ -13,7 +13,7 @@
 //
 // Occupancy lives in one structure, a paged dense cell grid, kept
 // current by every mutator:
-//  - a page is a kPageCore² block of cells in the wide layout of
+//  - a page is a kPageCore² block of cells in the format of
 //    cell_codec.hpp, stored with a kApron-cell apron on every side that
 //    copies the neighbouring pages' cores (0 where no neighbour page
 //    exists). The apron is as wide as the 10-node gather of a proposal
@@ -152,7 +152,7 @@ class ParticleSystem {
     if (page == nullptr) return kNoParticle;
     return static_cast<ParticleIndex>(
                cells_[static_cast<std::size_t>(address_in(*page, v))] &
-               cell::kWideIndexMask) -
+               cell::kIndexMask) -
            1;
   }
 
@@ -187,23 +187,22 @@ class ParticleSystem {
         cells_.data() + addr_[static_cast<std::size_t>(i)];
     const auto& ring = grid::kRingOffset[static_cast<std::size_t>(dir)];
     unsigned occ = 1u << NeighborhoodGather::kNodeL;
-    std::uint64_t nib = static_cast<std::uint64_t>(c[0] >>
-                                                   cell::kWideNibbleShift)
+    std::uint64_t nib = static_cast<std::uint64_t>(c[0] >> cell::kNibbleShift)
                         << (4 * NeighborhoodGather::kNodeL);
     for (std::size_t k = 0; k < 8; ++k) {
       const std::uint32_t v = c[ring[k]];
       occ |= static_cast<unsigned>(v != 0) << k;
-      nib |= static_cast<std::uint64_t>(v >> cell::kWideNibbleShift) << (4 * k);
+      nib |= static_cast<std::uint64_t>(v >> cell::kNibbleShift) << (4 * k);
     }
     const std::uint32_t lp = c[grid::kLpOffset[static_cast<std::size_t>(dir)]];
     occ |= static_cast<unsigned>(lp != 0) << NeighborhoodGather::kNodeLp;
-    nib |= static_cast<std::uint64_t>(lp >> cell::kWideNibbleShift)
+    nib |= static_cast<std::uint64_t>(lp >> cell::kNibbleShift)
            << (4 * NeighborhoodGather::kNodeLp);
     NeighborhoodGather g;
     g.occ = static_cast<std::uint16_t>(occ);
     g.color_nibbles ^= nib;
     g.p_at_l = i;
-    g.p_at_lp = static_cast<ParticleIndex>(lp & cell::kWideIndexMask) - 1;
+    g.p_at_lp = static_cast<ParticleIndex>(lp & cell::kIndexMask) - 1;
     return g;
   }
 
@@ -379,8 +378,8 @@ class ParticleSystem {
   /// The cell that holds particle `i`. Encoded rather than read back,
   /// so a mutator's grid writes are pure stores.
   [[nodiscard]] std::uint32_t own_cell(ParticleIndex i) const noexcept {
-    return cell::encode<std::uint32_t>(static_cast<std::uint32_t>(i),
-                                       colors_[static_cast<std::size_t>(i)]);
+    return cell::encode(static_cast<std::uint32_t>(i),
+                        colors_[static_cast<std::size_t>(i)]);
   }
   /// Exchanges the cells of particles `i` and `j`.
   void exchange(ParticleIndex i, ParticleIndex j) noexcept {

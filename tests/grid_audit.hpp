@@ -29,8 +29,8 @@ inline void expect_grid_consistent(const ParticleSystem& sys,
   std::set<Key> page_keys;
   for (std::size_t i = 0; i < sys.size(); ++i) {
     const lattice::Node v = sys.positions()[i];
-    const std::uint32_t own = cell::encode<std::uint32_t>(
-        static_cast<std::uint32_t>(i), sys.colors()[i]);
+    const std::uint32_t own =
+        cell::encode(static_cast<std::uint32_t>(i), sys.colors()[i]);
     expected[{v.x, v.y}] = own;
     page_keys.insert({v.x >> grid::kPageShift, v.y >> grid::kPageShift});
     EXPECT_EQ(sys.cells()[sys.addresses()[i]], own)
@@ -73,7 +73,7 @@ inline void expect_grid_consistent(const ParticleSystem& sys,
                               static_cast<std::int32_t>(y)};
         const std::uint32_t want = cell_of(x, y);
         const ParticleIndex p = sys.particle_at(v);
-        if (p != static_cast<ParticleIndex>(want & cell::kWideIndexMask) - 1 ||
+        if (p != static_cast<ParticleIndex>(want & cell::kIndexMask) - 1 ||
             sys.occupied(v) != (want != 0)) {
           ++wrong_queries;
         }
@@ -108,7 +108,7 @@ inline void expect_grid_consistent(const ParticleSystem& sys,
       const lattice::Node v{static_cast<std::int32_t>(x),
                             static_cast<std::int32_t>(y)};
       if (sys.particle_at(v) !=
-          static_cast<ParticleIndex>(want & cell::kWideIndexMask) - 1) {
+          static_cast<ParticleIndex>(want & cell::kIndexMask) - 1) {
         ++wrong_box;
       }
     }

@@ -11,6 +11,7 @@
 #include "src/lattice/shapes.hpp"
 #include "src/util/rng.hpp"
 #include "tests/grid_audit.hpp"
+#include "tests/weight_reference.hpp"
 
 namespace sops::core {
 namespace {
@@ -134,7 +135,7 @@ TEST(NeighborhoodViewTest, ExhaustiveEquivalenceWithReferencePath) {
         // Weights: kernel and reference must agree bit-for-bit.
         if (!nb.lp_occupied()) {
           EXPECT_EQ(move_weight(sys, params, l, dir),
-                    move_weight_reference(sys, params, l, dir));
+                    testing::move_weight_reference(sys, params, l, dir));
         } else {
           const Color ci = nb.color_at(NeighborhoodView::kNodeL);
           const Color cj = nb.color_at(NeighborhoodView::kNodeLp);
@@ -144,7 +145,7 @@ TEST(NeighborhoodViewTest, ExhaustiveEquivalenceWithReferencePath) {
                                sys.neighbor_count_color(lp, cj));
           EXPECT_EQ(nb.swap_exponent(), ref_exp);
           EXPECT_EQ(swap_weight(sys, params, l, dir),
-                    swap_weight_reference(sys, params, l, dir));
+                    testing::swap_weight_reference(sys, params, l, dir));
         }
       }
     }

@@ -399,8 +399,8 @@ TEST(GridAudit, PagesAtTheEdgeOfTheCoordinateRange) {
 // AVX2 hosts) — with segments alternating between them, against serial
 // step() twins. Lanes straddle a page corner, sit near ±2^31, or carry a
 // far outlier at (10^5, 10^5); in the second pass the outlier lane sits
-// inside the SIMD group, so the band refuses its arena. λ = 1 keeps
-// acceptance high, so blobs spread across page edges.
+// inside the SIMD group, which gathers from every lane's grid all the
+// same. λ = 1 keeps acceptance high, so blobs spread across page edges.
 TEST(GridAudit, TrajectoriesThroughEveryExecutor) {
   constexpr std::int32_t kFar = std::numeric_limits<std::int32_t>::max() - 300;
   const core::Params params{1.0, 2.0, true};
@@ -462,7 +462,7 @@ TEST(GridAudit, TrajectoriesThroughEveryExecutor) {
       }
     }
     if (core::ReplicaBand::auto_simd()) {
-      EXPECT_EQ(band.stats().simd_steps > 0, outlier_lane == 8);
+      EXPECT_GT(band.stats().simd_steps, 0u);
     }
   }
 }

@@ -2,11 +2,10 @@
 // ReplicaBand must leave every lane byte-identical to a twin advanced
 // by the same number of serial step() calls — same positions, colors,
 // edge counts, all eight counters, and post-run RNG state — at every
-// width, on every execution path (SIMD groups, lane pipelines and
-// step()'s own body over each lane's grid), through ragged
-// per-lane quotas, and across arena re-centers and mid-run arena
-// declines. This is the
-// contract that lets the ensemble group sweep replicas into bands.
+// width, on both execution paths (SIMD groups gathering from each
+// lane's grid, and lane pipelines), through ragged per-lane quotas,
+// far outliers, page crossings and page-pool growth mid-block. This is
+// the contract that lets the ensemble group sweep replicas into bands.
 #include "src/core/replica_band.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/sops/cell_codec.hpp"
 #include "src/core/coloring.hpp"
 #include "src/core/markov_chain.hpp"
 #include "src/lattice/shapes.hpp"
@@ -178,8 +176,8 @@ TEST(ReplicaBand, PerLaneQuotasHandleRaggedTails) {
 }
 
 // Odd-sized segments across one long-lived band, with direct step()
-// calls interleaved between segments: the arena is derived state and
-// must absorb external mutations at every re-entry.
+// calls interleaved between segments: the band keeps no copy of any
+// lane's configuration, so external mutations need no resync.
 TEST(ReplicaBand, SegmentsAndExternalStepsAreAbsorbed) {
   auto banded = make_replicas(8, 120, 2, Params{4.0, 4.0, true}, 31);
   auto serial = make_replicas(8, 120, 2, Params{4.0, 4.0, true}, 31);
@@ -206,22 +204,19 @@ TEST(ReplicaBand, SegmentsAndExternalStepsAreAbsorbed) {
   }
 }
 
-// Free blobs (λ = γ = 1) diffuse; drifting into a lane's guard band
-// must re-center the shared arena mid-band without perturbing any
-// lane's trajectory — for one SIMD group and for the width-16
-// interleaved pair, whose re-centers land between the two groups'
-// applies.
-TEST(ReplicaBand, DriftRecentersTheArenaInsideABand) {
+// Free blobs (λ = γ = 1) diffuse across page edges, and every step of
+// the full groups stays on the SIMD path, whatever the blobs' shapes —
+// for one SIMD group and for the width-16 interleaved pair.
+TEST(ReplicaBand, DriftingBlobsStayOnTheSimdPath) {
   for (const std::size_t width : {std::size_t{8}, std::size_t{16}}) {
     auto banded = make_replicas(width, 40, 2, Params{1.0, 1.0, true}, 41);
     auto serial = make_replicas(width, 40, 2, Params{1.0, 1.0, true}, 41);
     auto ptrs = pointers(banded);
     ReplicaBand band(ptrs);
     band.run(150000);
-    // At least the entry rebuild plus one drift re-center; forced-scalar
-    // bands build no arena.
     if (band.simd_enabled()) {
-      EXPECT_GE(band.stats().arena_rebuilds, 2u);
+      EXPECT_EQ(band.stats().simd_steps, width * 150000u);
+      EXPECT_EQ(band.stats().scalar_steps, 0u);
     }
     for (std::size_t r = 0; r < width; ++r) {
       for (int i = 0; i < 150000; ++i) serial[r].step();
@@ -233,12 +228,12 @@ TEST(ReplicaBand, DriftRecentersTheArenaInsideABand) {
   }
 }
 
-// One lane with a far-away outlier blows up the shared arena extent:
-// the band must refuse the arena and hand every lane to its pipeline,
-// which gathers from the lane's grid (the outlier just has a page of
-// its own). The refusal is recorded, so back-to-back run() calls scan
-// the lanes once. All stay byte-identical to step().
-TEST(ReplicaBand, OversizedBoundingBoxFallsBackToFlatMapGather) {
+// One lane carries a far-away outlier at (10^5, 10^5). It just has a
+// page of its own, so the whole group stays on the SIMD path across
+// three back-to-back run() calls (forced scalar: every step runs
+// through the lane pipelines), a step outside the band needs no resync,
+// and every lane stays byte-identical to step().
+TEST(ReplicaBand, FarOutlierStaysOnTheSimdPath) {
   const Params params{4.0, 4.0, true};
   std::vector<SeparationChain> banded;
   std::vector<SeparationChain> serial;
@@ -259,17 +254,17 @@ TEST(ReplicaBand, OversizedBoundingBoxFallsBackToFlatMapGather) {
   band.run(10000);
   band.run(5000);
   band.run(5000);
-  EXPECT_EQ(band.stats().arena_rebuilds, 0u);
-  EXPECT_EQ(band.stats().simd_steps, 0u);
-  EXPECT_EQ(band.stats().scalar_steps, 8u * 20000u);
-  // Only a SIMD band scans for an arena; the three calls scan once.
-  EXPECT_EQ(band.stats().arena_refusals, band.simd_enabled() ? 1u : 0u);
-  // A step outside the band makes the recorded refusal stale.
+  if (band.simd_enabled()) {
+    EXPECT_EQ(band.stats().simd_steps, 8u * 20000u);
+    EXPECT_EQ(band.stats().scalar_steps, 0u);
+  } else {
+    EXPECT_EQ(band.stats().simd_steps, 0u);
+    EXPECT_EQ(band.stats().scalar_steps, 8u * 20000u);
+  }
   banded[0].step();
   serial[0].step();
   band.run(1);
   serial[0].step();
-  EXPECT_EQ(band.stats().arena_refusals, band.simd_enabled() ? 2u : 0u);
   for (std::size_t r = 1; r < 8; ++r) serial[r].step();
   for (std::size_t r = 0; r < 8; ++r) {
     for (int i = 0; i < 20000; ++i) serial[r].step();
@@ -279,23 +274,17 @@ TEST(ReplicaBand, OversizedBoundingBoxFallsBackToFlatMapGather) {
   }
 }
 
-// Every lane is a compact blob plus a far-off dimer, placed so the
-// shared plane sits just under its cell cap. The dimers roll freely
-// (each of their moves keeps one neighbor), and once one drifts into
-// its guard band the re-centered plane no longer fits: the arena is
-// declined mid-block. The block is already decoded, so each lane
-// finishes its remaining ticks through step()'s own body over its grid;
-// its pipeline takes over from the next block, and no byte may move.
-// Widths 8 and 16 cover the one- and two-group walker. At width 16 only
-// group A (lanes 0–7) carries the far dimer, so only group A can push
-// the plane past its cap; group B's dimer sits beside its blob. With
-// these seeds a group-B lane accepts on the tick whose group-A apply
-// declines the arena in the uniform pass, so skipping B's applies after
-// A's decline fails here. The ragged pass gives even lanes quotas of at
-// most 8 steps and odd lanes quotas above 128, so the decline lands in
-// a block where the lanes had executed different tick counts (the even
-// lanes had finished).
-TEST(ReplicaBand, ArenaDeclinedMidRunHandsOverToFlatMap) {
+// Every lane is a compact blob plus a dimer. In lanes 0–7 the dimer
+// sits about 2^20 / h cells away from its blob and rolls freely (each
+// of its moves keeps one neighbor) across its own pages; in lanes 8–15
+// it sits beside the blob. Widths 8 and 16 cover the one- and
+// two-group walker: at width 16 both groups accept on the same ticks,
+// so each group's applies must run whatever the other group did. The
+// ragged pass gives even lanes quotas of at most 8 steps and odd lanes
+// quotas above 128, so blocks mix finished and running lanes. Every
+// step runs on one tier exactly once, and each tick's words are drawn
+// once.
+TEST(ReplicaBand, FarDimersRollAcrossTheirPagesMidBlock) {
   auto nodes = lattice::compact_blob(60);
   int xmin = nodes[0].x, ymin = nodes[0].y, ymax = nodes[0].y;
   for (const lattice::Node v : nodes) {
@@ -303,8 +292,6 @@ TEST(ReplicaBand, ArenaDeclinedMidRunHandsOverToFlatMap) {
     ymin = std::min(ymin, v.y);
     ymax = std::max(ymax, v.y);
   }
-  // Plane = (extent + 2·8 margin) per axis against a 2^20-cell cap: put
-  // the dimer's right end on the widest column that still fits.
   const int h = (ymax - ymin + 1) + 16;
   const int right = xmin + (1 << 20) / h - 16 - 1;
   std::vector<lattice::Node> near = nodes;
@@ -332,12 +319,7 @@ TEST(ReplicaBand, ArenaDeclinedMidRunHandsOverToFlatMap) {
     }
     auto ptrs = pointers(banded);
     ReplicaBand band(ptrs);
-    const bool arena = band.simd_enabled();
-    std::vector<std::uint64_t> total(width, 1);
-    band.run(1);
-    if (arena) {
-      ASSERT_EQ(band.stats().arena_rebuilds, 1u) << "plane over the cap";
-    }
+    std::vector<std::uint64_t> total(width, 0);
     if (!pass.ragged) {
       band.run(200000);
       for (std::uint64_t& t : total) t += 200000;
@@ -352,31 +334,66 @@ TEST(ReplicaBand, ArenaDeclinedMidRunHandsOverToFlatMap) {
         band.run(quotas);
       }
     }
-    // The decline is recorded like an entry refusal: later calls run the
-    // lane pipelines without rescanning, and no rebuild succeeds.
-    const std::uint64_t rebuilds = band.stats().arena_rebuilds;
-    const std::uint64_t refusals = band.stats().arena_refusals;
-    band.run(1);
-    for (std::uint64_t& t : total) t += 1;
-    if (arena) {
-      EXPECT_EQ(band.stats().arena_rebuilds, rebuilds);
-      EXPECT_EQ(band.stats().arena_refusals, refusals);
-      EXPECT_GT(refusals, 0u) << "no dimer pushed the plane past the cap";
-      EXPECT_GT(band.stats().simd_steps, 0u);
-    }
-    // Each step ran exactly once, on one tier: the SIMD walk, or the
-    // scalar tier (the step_with() finish of the declined block, then
-    // the lane pipelines). Each tick's words were drawn once, by the
-    // block decode or by a pipeline refill.
     std::uint64_t steps = 0;
     for (const std::uint64_t t : total) steps += t;
     EXPECT_EQ(band.stats().simd_steps + band.stats().scalar_steps, steps);
+    EXPECT_EQ(band.stats().simd_steps, band.simd_enabled() ? steps : 0u);
     EXPECT_EQ(band.stats().refill_words, 3 * steps);
     for (std::size_t r = 0; r < width; ++r) {
       for (std::uint64_t i = 0; i < total[r]; ++i) serial[r].step();
       const std::string what = "width " + std::to_string(width) +
                                (pass.ragged ? " ragged" : "") +
-                               " mid-run decline lane " + std::to_string(r);
+                               " far dimer lane " + std::to_string(r);
+      expect_same_state(serial[r], banded[r], what);
+      expect_rng_in_sync(serial[r], banded[r], what);
+    }
+  }
+}
+
+// Every group lane is a small blob in page (0, 0) plus a dimer filling
+// the corner of page (1, 1), so its pool holds exactly two pages and
+// the first page the dimer rolls into grows — and reallocates — the
+// lane's pool, inside one 4096-step block while the sibling lanes keep
+// accepting (λ = γ = 1). A SIMD group that kept gathering through the
+// lane's old pool would read freed memory, which the sanitizers do not
+// see inside vector gathers; only the byte identity with each lane's
+// step() twin catches it.
+TEST(ReplicaBand, PoolGrowthMidBlockKeepsEveryLaneExact) {
+  std::vector<lattice::Node> nodes;
+  for (const lattice::Node v : lattice::compact_blob(10)) {
+    nodes.push_back(lattice::Node{v.x + 16, v.y + 16});
+  }
+  nodes.push_back(lattice::Node{62, 63});
+  nodes.push_back(lattice::Node{63, 63});
+  const Params params{1.0, 1.0, true};
+  constexpr std::uint64_t kBlock = ReplicaBand::kMaxBlockSize;
+  for (const std::size_t width : {std::size_t{8}, std::size_t{16}}) {
+    std::vector<SeparationChain> banded;
+    std::vector<SeparationChain> serial;
+    for (std::size_t r = 0; r < width; ++r) {
+      util::Rng rng(500 + r);
+      const auto colors = balanced_random_colors(nodes.size(), 2, rng);
+      banded.emplace_back(ParticleSystem(nodes, colors), params, 500 + r);
+      serial.emplace_back(ParticleSystem(nodes, colors), params, 500 + r);
+    }
+    std::vector<const std::uint32_t*> pools;
+    for (const SeparationChain& c : banded) {
+      ASSERT_EQ(c.system().pooled_pages(), 2u);
+      pools.push_back(c.system().cells());
+    }
+    auto ptrs = pointers(banded);
+    ReplicaBand band(ptrs, kBlock);
+    band.run(kBlock);
+    if (band.simd_enabled()) {
+      EXPECT_EQ(band.stats().blocks, 1u);
+      EXPECT_EQ(band.stats().simd_steps, width * kBlock);
+    }
+    for (std::size_t r = 0; r < width; ++r) {
+      const std::string what = "width " + std::to_string(width) +
+                               " pool-growth lane " + std::to_string(r);
+      EXPECT_GT(banded[r].system().pooled_pages(), 2u) << what;
+      EXPECT_NE(banded[r].system().cells(), pools[r]) << what;
+      for (std::uint64_t i = 0; i < kBlock; ++i) serial[r].step();
       expect_same_state(serial[r], banded[r], what);
       expect_rng_in_sync(serial[r], banded[r], what);
     }
@@ -419,83 +436,19 @@ TEST(ReplicaBand, LemireRejectionReplaysTheLaneExactly) {
   }
 }
 
-// n = 4094 is the last size whose index+1 fits the compact cells'
-// 12-bit field, so the band must pick the 16-bit layout — and every
-// lane must still be byte-identical to its serial twin. Only SIMD
-// groups build an arena; forced-scalar bands run every lane through its
-// pipeline and report none.
-TEST(ReplicaBand, CompactLayoutAtIndexCapacityMatchesStepTwins) {
-  static_assert(cell::kCompactIndexMask == 4095);
-  auto banded = make_replicas(8, 4094, 2, Params{4.0, 4.0, true}, 61);
-  auto serial = make_replicas(8, 4094, 2, Params{4.0, 4.0, true}, 61);
-  auto ptrs = pointers(banded);
-  ReplicaBand band(ptrs);
-  band.run(3000);
-  EXPECT_EQ(band.arena_compact(), band.simd_enabled());
-  for (std::size_t r = 0; r < 8; ++r) {
-    for (int i = 0; i < 3000; ++i) serial[r].step();
-    const std::string what = "compact-boundary lane " + std::to_string(r);
-    expect_same_state(serial[r], banded[r], what);
-    expect_rng_in_sync(serial[r], banded[r], what);
-  }
-}
-
-// One particle more and index+1 no longer fits 12 bits: the band must
-// fall back to the wide 32-bit layout, same bytes as ever.
+// The suite's largest band: sixteen lanes of n = 4095, whose index + 1
+// needs more than 12 bits. Both interleaved groups must stay on the
+// SIMD path and byte-identical to their serial twins.
 TEST(ReplicaBand, WideLayoutJustAboveIndexCapacityMatchesStepTwins) {
-  auto banded = make_replicas(8, 4095, 2, Params{4.0, 4.0, true}, 67);
-  auto serial = make_replicas(8, 4095, 2, Params{4.0, 4.0, true}, 67);
+  auto banded = make_replicas(16, 4095, 2, Params{4.0, 4.0, true}, 67);
+  auto serial = make_replicas(16, 4095, 2, Params{4.0, 4.0, true}, 67);
   auto ptrs = pointers(banded);
   ReplicaBand band(ptrs);
   band.run(3000);
-  EXPECT_FALSE(band.arena_compact());
-  EXPECT_EQ(band.stats().arena_rebuilds > 0, band.simd_enabled());
-  for (std::size_t r = 0; r < 8; ++r) {
+  EXPECT_EQ(band.stats().simd_steps, band.simd_enabled() ? 16u * 3000u : 0u);
+  for (std::size_t r = 0; r < 16; ++r) {
     for (int i = 0; i < 3000; ++i) serial[r].step();
-    const std::string what = "wide-boundary lane " + std::to_string(r);
-    expect_same_state(serial[r], banded[r], what);
-    expect_rng_in_sync(serial[r], banded[r], what);
-  }
-}
-
-// A staircase blob is a near-maximal-extent configuration, so the
-// free-diffusion (λ = γ = 1) collapse of the line shrinks its bounding
-// box through many drift rebuilds — across the footprint at which a
-// byte-sized layout policy would flip cell widths mid-walk. The layout
-// is a function of n alone, so every rebuild of this width-16 band
-// (two interleaved SIMD groups) must keep the compact cells it chose at
-// entry, and every lane must stay byte-identical to its serial twin.
-TEST(ReplicaBand, DriftRebuildCrossesTheLayoutSelection) {
-  const Params params{1.0, 1.0, true};
-  std::vector<lattice::Node> nodes;
-  for (int i = 0; i < 80; ++i) {
-    nodes.push_back(lattice::Node{(i + 1) / 2, i / 2});
-  }
-  std::vector<SeparationChain> banded;
-  std::vector<SeparationChain> serial;
-  for (std::size_t r = 0; r < 16; ++r) {
-    util::Rng rng(91 + r);
-    const auto colors = balanced_random_colors(nodes.size(), 2, rng);
-    banded.emplace_back(ParticleSystem(nodes, colors), params, 91 + r);
-    serial.emplace_back(ParticleSystem(nodes, colors), params, 91 + r);
-  }
-  auto ptrs = pointers(banded);
-  ReplicaBand band(ptrs);
-  std::uint64_t total = 0;
-  for (int segment = 0; segment < 20; ++segment) {
-    band.run(10000);
-    total += 10000;
-    ASSERT_EQ(band.arena_compact(), band.simd_enabled())
-        << "layout changed after " << total << " steps";
-  }
-  // The entry rebuild plus drift re-centers; forced-scalar bands build
-  // no arena.
-  if (band.simd_enabled()) {
-    EXPECT_GE(band.stats().arena_rebuilds, 2u);
-  }
-  for (std::size_t r = 0; r < 16; ++r) {
-    for (std::uint64_t i = 0; i < total; ++i) serial[r].step();
-    const std::string what = "layout-crossing lane " + std::to_string(r);
+    const std::string what = "n = 4095 lane " + std::to_string(r);
     expect_same_state(serial[r], banded[r], what);
     expect_rng_in_sync(serial[r], banded[r], what);
   }
